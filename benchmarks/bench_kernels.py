@@ -1,9 +1,13 @@
-"""Compare the compiled and pure permutation-sweep kernels.
+"""Compare the compiled and pure permutation kernels.
 
 Run with:  python3 benchmarks/bench_kernels.py [--repeat N]
+
+Exits 1 if the two backends return different results on any case.
+perfbench/run.py is the runner whose end-to-end numbers decide.
 """
 
 import argparse
+import sys
 import time
 
 from invpoly import HSequence, PairSet, possible_pairs
@@ -66,6 +70,7 @@ def main():
     if _core is None:
         print("compiled backend unavailable; benchmarking pure only")
     print(f"{'case':<36} {'pure':>10} {'compiled':>10} {'speedup':>8}")
+    differ = False
     for name, op, args, S, m in CASES:
         pure_t, pure_r = bench(_pure, op, args, S, m, opts.repeat)
         line = f"{name:<36} {pure_t * 1000:>8.1f}ms"
@@ -79,8 +84,10 @@ def main():
             line += f" {core_t * 1000:>8.1f}ms {pure_t / core_t:>7.1f}x"
             if not same:
                 line += "  RESULTS DIFFER"
+                differ = True
         print(line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,14 +4,14 @@ Inputs arrive as --h/--s/--n flags (JSON fragments) or a single --json
 file; output is human-readable by default, machine JSON with --json-out.
 
 Exit codes: 0 ok, 1 verification failure, 2 inadmissible set,
-3 parse error, 4 brute-force bound exceeded.
+3 bad input (unparsable, malformed, below the validity floor, or a cyclic
+order), 4 brute-force bound exceeded.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from importlib import resources
 
 import click
 
@@ -26,11 +26,12 @@ from invpoly import (
     posets,
 )
 from invpoly.errors import (
+    BelowValidityFloorError,
     BoundExceededError,
     InadmissibleSetError,
     InputError,
-    InvpolyError,
     NoDescentError,
+    PosetCycleError,
 )
 
 EXIT_OK = 0
@@ -60,7 +61,8 @@ def _load_problem(h, s, n, json_file):
         hseq = model.HSequence.from_json(data["h"])
         S = model.PairSet.from_json(data["S"]) if "S" in data else None
         return hseq, S, data.get("n")
-    except (KeyError, json.JSONDecodeError, InputError, TypeError) as exc:
+    # ValueError also covers json.JSONDecodeError and InputError
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(EXIT_PARSE, f"bad input: {exc}")
 
 
@@ -80,7 +82,7 @@ def _guard(fn):
         _fail(EXIT_INADMISSIBLE, str(exc))
     except BoundExceededError as exc:
         _fail(EXIT_BOUND, str(exc))
-    except InputError as exc:
+    except (InputError, BelowValidityFloorError, PosetCycleError) as exc:
         _fail(EXIT_PARSE, str(exc))
 
 
@@ -366,13 +368,11 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
 
 def run_golden() -> list[str]:
     """Replay every bundled worked-example fixture; return mismatch notes."""
-    from invpoly.golden import replay
+    from invpoly.golden import load_all, replay
 
     failures = []
-    root = resources.files("invpoly") / "golden"
-    for entry in sorted(root.iterdir()):
-        if entry.name.endswith(".json"):
-            failures.extend(replay(json.loads(entry.read_text())))
+    for fx in load_all().values():
+        failures.extend(replay(fx))
     return failures
 
 

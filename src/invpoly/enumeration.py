@@ -1,10 +1,12 @@
 """Brute-force oracle over S_n and the constructive permutation sets.
 
-Everything here enumerates honestly: a full sweep over S_n for the oracle
-entry points, and a structured sweep (entries after the maximum descent
-kept increasing, which every member of the target set satisfies) for the
-larger windows needed by the coefficient sets.  The sweeps run through
-the selected kernel backend (see invpoly.kernels).
+Everything here enumerates exactly.  Grouping S_n by restricted inversion
+set (enumerate_admissible, poincare) is a full sweep over S_n.  Listing
+I_h(S, n) is a pruned exact search over S_n for the oracle entry points,
+and over the words that increase after the maximum descent (which every
+member of the target set does) for the larger windows needed by the
+coefficient sets.  The kernels come from the selected backend (see
+invpoly.kernels).
 """
 
 from __future__ import annotations

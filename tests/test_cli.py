@@ -71,6 +71,21 @@ class TestExitCodes:
         )
         assert res.exit_code == 4
 
+    def test_below_validity_floor_is_3(self, runner):
+        res = runner.invoke(
+            main, ["graded", "--h", H2, "--s", "[[1,3],[2,3],[2,4],[3,4]]", "--n", "1"]
+        )
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
+    def test_bad_tail_offset_is_3(self, runner):
+        res = runner.invoke(
+            main, ["eval", "--h", '{"prefix":[],"tail_offset":"x"}',
+                   "--s", S_QUAD, "--n", "4"]
+        )
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestExpand:
     def test_schema_and_round_trip(self, runner):
