@@ -4,8 +4,9 @@ Inputs arrive as --h/--s/--n flags (JSON fragments) or a single --json
 file; output is human-readable by default, machine JSON with --json-out.
 
 Exit codes: 0 ok, 1 verification failure, 2 inadmissible set,
-3 bad input (unparsable, malformed, below the validity floor, or a cyclic
-order), 4 brute-force bound exceeded.
+3 bad input (unparsable, malformed, a --json file that cannot be read, a
+non-integer INVPOLY_MAX_N, below the validity floor, or a cyclic order),
+4 brute-force bound exceeded.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def _load_problem(h, s, n, json_file):
         hseq = model.HSequence.from_json(data["h"])
         S = model.PairSet.from_json(data["S"]) if "S" in data else None
         return hseq, S, data.get("n")
-    # ValueError also covers json.JSONDecodeError and InputError
-    except (KeyError, TypeError, ValueError) as exc:
+    # ValueError also covers json.JSONDecodeError and InputError; OSError
+    # covers a --json file that is missing or unreadable
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         _fail(EXIT_PARSE, f"bad input: {exc}")
 
 

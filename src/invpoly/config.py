@@ -2,10 +2,12 @@
 
 The default cap keeps full S_n sweeps at or below 10! words.  It can be
 overridden per call, or globally through the INVPOLY_MAX_N environment
-variable.
+variable, which must be an integer.
 """
 
 import os
+
+from invpoly.errors import InputError
 
 DEFAULT_MAX_N = 10
 
@@ -14,4 +16,7 @@ def max_n() -> int:
     raw = os.environ.get("INVPOLY_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"INVPOLY_MAX_N must be an integer, got {raw!r}") from None

@@ -1,8 +1,14 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: only grouping is dispatched to the compiled extension.
 
-Set INVPOLY_PURE_KERNELS=1 to force the pure backend.  The compiled
-kernels keep the inversion bitmask in a machine word, so calls with more
-than 64 candidate pairs route to the pure backend regardless.
+admissible_counts uses the compiled extension when it is available, and
+pure Python otherwise.  Set INVPOLY_PURE_KERNELS=1 to force the pure
+backend.  The compiled grouping kernel keeps the inversion bitmask in a
+machine word, so calls with more than 64 candidate pairs route to the
+pure backend regardless.
+
+Matching always runs the pure pruned search: the compiled matching
+kernels sweep all of S_n (or every ordered head of the window), which
+costs more than the pruned search as n grows.
 """
 
 import os
@@ -30,13 +36,5 @@ def admissible_counts(n, pairs):
     return _pure.admissible_counts(n, pairs)
 
 
-def matching_perms(n, pairs, target):
-    if _usable(n, pairs):
-        return _core.matching_perms(n, pairs, target)
-    return _pure.matching_perms(n, pairs, target)
-
-
-def matching_perms_sorted_suffix(n, m, pairs, target):
-    if _usable(n, pairs):
-        return _core.matching_perms_sorted_suffix(n, m, pairs, target)
-    return _pure.matching_perms_sorted_suffix(n, m, pairs, target)
+matching_perms = _pure.matching_perms
+matching_perms_sorted_suffix = _pure.matching_perms_sorted_suffix

@@ -3,6 +3,11 @@
 The poset lives on [h(m)].  Pairs of S point downward (i above j) and
 complement pairs within the window point upward; the transitive closure
 of those relations is a partial order exactly when S is admissible.
+
+Height sequences are counted over the lattice of order ideals, held as
+bitmasks, so their cost follows the number of ideals rather than the
+number of linear extensions.  linear_extensions is kept for listing the
+extensions themselves.
 """
 
 from __future__ import annotations
@@ -109,8 +114,10 @@ def build_poset(h: HSequence, S: PairSet) -> Poset:
 def linear_extensions(P: Poset) -> list[Permutation]:
     """All orderings compatible with P, lexicographically.
 
-    Backtracking over currently minimal elements; fine for the desk-scale
-    posets this library builds (<= 10 elements).
+    Backtracking over currently minimal elements.  Kept for listing the
+    extensions themselves (the poset CLI command, golden replay, the test
+    oracle); counts such as height_sequence come from the order-ideal
+    count instead, which never lists an extension.
     """
     n = P.ground
     preds = {v: P.down_set(v) for v in range(1, n + 1)}
@@ -134,13 +141,57 @@ def linear_extensions(P: Poset) -> list[Permutation]:
     return out
 
 
+def _ideal_counts(lower: list[int], skip: int) -> dict[int, int]:
+    """Ideal -> number of ways to build it one element at a time.
+
+    Bit w stands for element w+1, and lower[w] is the bitmask of the
+    elements that must come before it.  Element w joins an ideal once
+    lower[w] lies inside it.  The element at index skip never joins, so
+    only the ideals without it are counted.
+    """
+    steps = [(1 << w, low) for w, low in enumerate(lower) if w != skip]
+    layer = {0: 1}
+    counts = dict(layer)
+    while layer:
+        nxt: dict[int, int] = {}
+        for ideal, count in layer.items():
+            for bit, low in steps:
+                if not ideal & bit and low & ideal == low:
+                    grown = ideal | bit
+                    nxt[grown] = nxt.get(grown, 0) + count
+        counts.update(nxt)
+        layer = nxt
+    return counts
+
+
 def height_sequence(P: Poset, v: int) -> list[int]:
-    """h_k = number of linear extensions with exactly k elements before v."""
+    """h_k = number of linear extensions with exactly k elements before v.
+
+    Counted over the lattice of order ideals (down-sets) as bitmasks,
+    without listing any extension (De Loof, De Meyer & De Baets 2006).
+    An extension adds one element at a time, from the empty ideal to the
+    ground set.  With e(D) the orderings of an ideal D and e'(U) the ways
+    to complete an ideal U to the ground set, v comes k-th exactly when
+    it is added to an ideal D of size k, so h_k = sum of e(D) e'(D + v)
+    over the ideals D of size k without v whose union with v is an ideal.
+    e' is the same count run in the dual order on the complement of U.
+    """
     if not 1 <= v <= P.ground:
         raise InputError(f"element {v} outside ground set [{P.ground}]")
-    heights = [0] * P.ground
-    for phi in linear_extensions(P):
-        heights[phi.word.index(v)] += 1
+    n = P.ground
+    below = [0] * n
+    above = [0] * n
+    for a, b in P.relations:
+        below[b - 1] |= 1 << (a - 1)
+        above[a - 1] |= 1 << (b - 1)
+    into = _ideal_counts(below, v - 1)
+    out_of = _ideal_counts(above, v - 1)  # keyed by the complement of U
+    vbit, vlow = 1 << (v - 1), below[v - 1]
+    rest = ((1 << n) - 1) ^ vbit
+    heights = [0] * n
+    for ideal, count in into.items():
+        if vlow & ideal == vlow:
+            heights[ideal.bit_count()] += count * out_of[rest ^ ideal]
     return heights
 
 
@@ -155,7 +206,9 @@ def b_from_heights(h: HSequence, S: PairSet):
     """b-coefficients via the height sequence of h(m) in the poset.
 
     Independent of the direct enumeration route: b_k = h_{k-1}(P, h(m)),
-    reported for k = h(m)-m .. h(m).
+    reported for k = h(m)-m .. h(m).  The heights come from the
+    order-ideal count in height_sequence; no permutation is swept and no
+    linear extension is listed.
     """
     from invpoly.expansions import CoeffSeq  # local: avoids an import cycle
 

@@ -86,6 +86,19 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert isinstance(res.exception, SystemExit)
 
+    def test_missing_problem_file_is_3(self, runner, tmp_path):
+        res = runner.invoke(main, ["eval", "--json", str(tmp_path / "absent.json")])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
+    def test_non_integer_max_n_is_3(self, runner):
+        res = runner.invoke(
+            main, ["admissible", "--h", H2, "--n", "4"],
+            env={"INVPOLY_MAX_N": "abc"},
+        )
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestExpand:
     def test_schema_and_round_trip(self, runner):

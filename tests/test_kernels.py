@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys
 
@@ -53,7 +54,7 @@ class TestDispatch:
         out = subprocess.run(
             [sys.executable, "-c",
              "from invpoly.kernels import BACKEND; print(BACKEND)"],
-            env={"INVPOLY_PURE_KERNELS": "1", "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "INVPOLY_PURE_KERNELS": "1"},
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "pure"

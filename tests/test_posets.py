@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from invpoly import (
@@ -13,6 +16,7 @@ from invpoly import (
     height_support_bounds,
     linear_extensions,
 )
+from invpoly import posets
 from invpoly.errors import InputError, PosetCycleError
 
 H2 = HSequence((), 2)
@@ -88,6 +92,57 @@ class TestHeights:
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
             height_sequence(P6, 7)
+
+
+def random_poset(rng, size):
+    """Random relations drawn upward, then relabelled at random."""
+    gens = [
+        (a, b)
+        for a in range(1, size + 1)
+        for b in range(a + 1, size + 1)
+        if rng.random() < 0.35
+    ]
+    relabel = list(range(1, size + 1))
+    rng.shuffle(relabel)
+    return Poset.from_relations(
+        size, [(relabel[a - 1], relabel[b - 1]) for a, b in gens]
+    )
+
+
+class TestHeightsByIdealCount:
+    def test_matches_listed_extensions(self):
+        """For every element, the ideal count equals the positions taken
+        over the listed linear extensions."""
+        rng = random.Random(20261018)
+        for size in range(1, 9):
+            for _ in range(6):
+                P = random_poset(rng, size)
+                exts = linear_extensions(P)
+                for v in range(1, size + 1):
+                    want = [0] * size
+                    for phi in exts:
+                        want[phi.word.index(v)] += 1
+                    assert height_sequence(P, v) == want, (P, v)
+
+    def test_antichain_beyond_listing(self):
+        antichain = Poset.from_relations(12, [])
+        for v in (1, 7, 12):
+            assert height_sequence(antichain, v) == [math.factorial(11)] * 12
+
+    def test_chain_beyond_listing(self):
+        chain = Poset.from_relations(12, [(i, i + 1) for i in range(1, 12)])
+        for v in range(1, 13):
+            want = [0] * 12
+            want[v - 1] = 1
+            assert height_sequence(chain, v) == want
+
+    def test_lists_no_extension(self, monkeypatch):
+        def refuse(P):
+            raise AssertionError("height_sequence listed linear extensions")
+
+        monkeypatch.setattr(posets, "linear_extensions", refuse)
+        assert height_sequence(P6, 4) == [0, 0, 1, 1, 1, 0]
+        assert b_from_heights(H2, S_POSET) == b_expansion(H2, S_POSET).coeffs
 
 
 class TestInducedPoset:
