@@ -33,7 +33,6 @@ from invpoly.graded import (
     length_split_check,
     verify_conjecture,
 )
-from invpoly.kernels import BACKEND as KERNEL_BACKEND
 from invpoly.model import (
     HSequence,
     PairSet,
@@ -42,9 +41,7 @@ from invpoly.model import (
     inv_h,
     is_admissible,
     is_h_closed,
-    j_of,
     length,
-    m_of,
     possible_pairs,
 )
 from invpoly.polynomials import (
@@ -52,14 +49,12 @@ from invpoly.polynomials import (
     MonomialPoly,
     QPoly,
     binom,
-    eval_binomial_poly,
     has_no_internal_zeros,
     is_log_concave,
     is_pf2,
     q_binom,
     q_seq_strongly_log_concave,
     subset_length,
-    to_monomial,
 )
 from invpoly.posets import (
     Poset,
@@ -72,3 +67,6 @@ from invpoly.posets import (
 )
 
 __version__ = "0.1.0"
+
+# The kernels are pure Python; benchmark reports record this name.
+KERNEL_BACKEND = "pure"

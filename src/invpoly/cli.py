@@ -21,7 +21,6 @@ from invpoly import (
     enumeration,
     expansions,
     graded as graded_mod,
-    kernels,
     model,
     polynomials,
     posets,
@@ -304,7 +303,7 @@ def cmd_verify_conjecture(h, json_file, cap, jobs, json_out):
 def cmd_verify(h, json_file, cap, golden, json_out):
     """Run the cross-checking invariant suite (or the golden replay)."""
     if golden:
-        failures = run_golden()
+        failures = _guard(run_golden)
         if failures:
             for f in failures:
                 click.echo(f"GOLDEN FAIL: {f}")

@@ -5,8 +5,7 @@ set (enumerate_admissible, poincare) is a full sweep over S_n.  Listing
 I_h(S, n) is a pruned exact search over S_n for the oracle entry points,
 and over the words that increase after the maximum descent (which every
 member of the target set does) for the larger windows needed by the
-coefficient sets.  The kernels come from the selected backend (see
-invpoly.kernels).
+coefficient sets.  The sweeps themselves are in invpoly.kernels.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import json
 from importlib import resources
 
 from invpoly import enumeration, expansions, graded, model, posets
+from invpoly.errors import BoundExceededError, InputError
 from invpoly.polynomials import QPoly, q_binom
 
 
@@ -165,12 +166,19 @@ _CHECKS = {
 
 
 def replay(fixture: dict) -> list[str]:
-    """Run every check in a fixture document; return mismatch notes."""
+    """Run every check in a fixture document; return mismatch notes.
+
+    InputError and BoundExceededError are raised, not noted: they mean the
+    checks cannot run as asked (a bad or too low INVPOLY_MAX_N), not that
+    the fixture disagrees.
+    """
     name = fixture.get("name", "<unnamed>")
     failures = []
     for c in fixture["checks"]:
         try:
             failures.extend(f"{name}: {msg}" for msg in _CHECKS[c["check"]](c))
+        except (InputError, BoundExceededError):
+            raise
         except Exception as exc:  # a crash is a failure, not a pass
             failures.append(f"{name}: {c['check']} raised {exc!r}")
     return failures

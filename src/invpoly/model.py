@@ -203,14 +203,6 @@ class PairSet:
         return "{" + inner + "}"
 
 
-def j_of(S: PairSet) -> int:
-    return S.j()
-
-
-def m_of(S: PairSet) -> int:
-    return S.m()
-
-
 def possible_pairs(h: HSequence, n: int) -> PairSet:
     """All pairs (i, j) with i < j <= min(n, h(i)): the window of P_h."""
     if n < 1:

@@ -226,14 +226,6 @@ class QPoly:
         return " + ".join(bits)
 
 
-def eval_binomial_poly(p: BinomialPoly, n: int) -> int:
-    return p(n)
-
-
-def to_monomial(p: BinomialPoly) -> MonomialPoly:
-    return p.to_monomial()
-
-
 def q_binom(n: int, k: int) -> QPoly:
     """Gaussian binomial via the Pascal recurrence [n,k] = [n-1,k-1] + q^k [n-1,k].
 

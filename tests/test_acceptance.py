@@ -38,14 +38,8 @@ from invpoly.enumeration import enumerate_Ih_structured, graded_Ih_oracle
 from invpoly.golden import load_all, replay
 from invpoly.posets import Poset
 
-CORPUS_H = [
-    HSequence((), 1),
-    HSequence((), 2),
-    HSequence((), 3),
-    HSequence((2, 4, 4, 5), 1),
-    HSequence((3, 4, 6, 7, 7), 1),
-    HSequence((5, 5, 6, 6), 1),
-]
+from conftest import CORPUS_H
+
 J_CAP = 7
 N_MAX = 8
 

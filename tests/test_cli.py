@@ -99,6 +99,16 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("max_n, code", [("abc", 3), ("3", 4)])
+    def test_golden_replay_env_errors(self, runner, max_n, code):
+        res = runner.invoke(
+            main, ["verify", "--golden"], env={"INVPOLY_MAX_N": max_n}
+        )
+        assert res.exit_code == code
+        assert res.output.startswith("error: ")
+        assert res.output.count("\n") == 1
+        assert "GOLDEN FAIL" not in res.output
+
 
 class TestExpand:
     def test_schema_and_round_trip(self, runner):

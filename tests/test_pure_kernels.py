@@ -1,4 +1,4 @@
-"""Parity of the pure matching kernels with a plain S_n sweep.
+"""Parity of the matching kernels with a plain S_n sweep.
 
 The sweep below is written out here, independent of invpoly's kernels,
 and compared with exact list equality, so the lexicographic output order
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from invpoly import HSequence, possible_pairs
-from invpoly import _pure
+from invpoly import kernels
 
 WINDOWS = [
     (HSequence((), 1), 5),
@@ -52,7 +52,7 @@ def test_matching_perms(h, n):
     pairs = possible_pairs(h, n).pairs
     groups = sweep(n, n, pairs)
     for mask in masks(n, pairs):
-        assert _pure.matching_perms(n, pairs, mask) == groups.get(mask, [])
+        assert kernels.matching_perms(n, pairs, mask) == groups.get(mask, [])
 
 
 @pytest.mark.parametrize("h, n", WINDOWS, ids=WINDOW_IDS)
@@ -62,12 +62,21 @@ def test_matching_perms_sorted_suffix(h, n):
     for m in range(n + 1):
         groups = sweep(n, m, pairs)
         for mask in tested:
-            got = _pure.matching_perms_sorted_suffix(n, m, pairs, mask)
+            got = kernels.matching_perms_sorted_suffix(n, m, pairs, mask)
             assert got == groups.get(mask, []), (m, mask)
 
 
 def test_target_outside_pair_list_matches_nothing():
     pairs = possible_pairs(HSequence((), 2), 4).pairs
     target = 1 << len(pairs)
-    assert _pure.matching_perms(4, pairs, target) == []
-    assert _pure.matching_perms_sorted_suffix(4, 2, pairs, target) == []
+    assert kernels.matching_perms(4, pairs, target) == []
+    assert kernels.matching_perms_sorted_suffix(4, 2, pairs, target) == []
+
+
+def test_more_pairs_than_a_machine_word():
+    # 70 pairs: the inversion bitmask needs more than 64 bits
+    n = 13
+    pairs = possible_pairs(HSequence((), 9), n).pairs
+    assert len(pairs) > 64
+    got = kernels.matching_perms_sorted_suffix(n, 0, pairs, 0)
+    assert got == [tuple(range(1, n + 1))]
