@@ -4,9 +4,9 @@ Inputs arrive as --h/--s/--n flags (JSON fragments) or a single --json
 file; output is human-readable by default, machine JSON with --json-out.
 
 Exit codes: 0 ok, 1 verification failure, 2 inadmissible set,
-3 bad input (unparsable, malformed, a --json file that cannot be read, a
-non-integer INVPOLY_MAX_N, below the validity floor, or a cyclic order),
-4 brute-force bound exceeded.
+3 bad input (unparsable, malformed, a non-integer h-sequence value, a
+--json file that cannot be read, a non-integer INVPOLY_MAX_N, below the
+validity floor, or a cyclic order), 4 brute-force bound exceeded.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Everything here enumerates exactly.  Grouping S_n by restricted inversion
 set (enumerate_admissible, poincare) is a full sweep over S_n.  Listing
-I_h(S, n) is a pruned exact search over S_n for the oracle entry points,
-and over the words that increase after the maximum descent (which every
-member of the target set does) for the larger windows needed by the
-coefficient sets.  The sweeps themselves are in invpoly.kernels.
+I_h(S, n) lists, with no dead ends and in lexicographic order, the linear
+extensions of the order that S puts on the positions: over all of S_n for
+the oracle entry points, and for the larger windows needed by the
+coefficient sets only the words that increase after the maximum descent,
+as every member of the target set does.  The kernels themselves are in
+invpoly.kernels.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def enumerate_Ih(
     if mask is None:
         return []
     perms = kernels.matching_perms(n, window, mask)
-    return [Permutation(p) for p in sorted(perms)]
+    return [Permutation(p) for p in perms]
 
 
 def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
@@ -77,7 +79,7 @@ def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[Permutatio
     if mask is None:
         return []
     perms = kernels.matching_perms_sorted_suffix(n, m, window, mask)
-    return [Permutation(p) for p in sorted(perms)]
+    return [Permutation(p) for p in perms]
 
 
 def t_of(sigma: Permutation, h: HSequence, S: PairSet) -> int:

@@ -5,9 +5,11 @@ candidate pairs (i, j), i < j, are inversions.  The classification is a
 bitmask over the pair list, held in a Python int so that any number of
 pairs fits, and callers compare sets with integer equality.
 Grouping (admissible_counts) is the full sweep over S_n and stays the
-honest oracle.  Matching is an exact pruned search: one backtracking
-kernel, _match, which turns each pair into a bound on the entries as
-early as it can.
+honest oracle.  Matching lists the permutations with a given mask
+exactly, as the linear extensions of the order that the mask puts on the
+positions (_match): a mask whose order has a cycle is rejected before any
+search, and otherwise every branch of the search ends in a match.  The
+matches come out sorted.
 """
 
 import itertools
@@ -44,79 +46,61 @@ def _match(n, m, pairs, target):
     """Permutations of [n] increasing after position m whose inversion
     bitmask over pairs equals target, in lexicographic order.
 
-    The first m entries are placed by backtracking, and every pair becomes
-    a bound as early as it can:
-
-    - a pair (i, j) with j <= m is decided when position j is placed: its
-      entry must lie above the entry at i when the pair is outside target
-      and below it when inside;
-    - a pair with both ends in the sorted suffix is never an inversion;
-    - a pair (i, j) crossing into the suffix is inverted exactly when at
-      least j - m suffix entries lie below the entry at i.  That count ends
-      between r - (m - i) and r, where r is the rank of the entry among the
-      values still free when position i is placed, so r is bounded below
-      by j - m when the pair is inside target and above by j - i - 1 when
-      outside.  The bound is necessary, not sufficient: crossing pairs are
-      checked again once the prefix is complete.
+    These are the linear extensions of one relation on the positions: the
+    entry at j lies below the entry at i for each pair (i, j) in target,
+    above it for each pair outside, and m+1 < m+2 < ... < n for the sorted
+    suffix.  The relation is peeled of its minimal positions first; if
+    that gets stuck it has a cycle (a non-admissible mask, or a suffix pair
+    that target inverts) and nothing matches.  Otherwise the values 1, 2,
+    ..., n are given in turn, each to an empty position whose lower
+    positions are all filled, so every branch ends in a match (Varol &
+    Rotem 1981).
     """
     if target >> len(pairs):
         return []
-    above = [[] for _ in range(m)]  # earlier positions whose entry is a floor
-    below = [[] for _ in range(m)]  # earlier positions whose entry is a ceiling
-    rank_lo = [0] * m  # bounds on the rank of the entry among free values
-    rank_hi = [n] * m
-    cross = []
+    lower = [0] * n  # lower[p]: positions whose entries must be below p's
     for bit, (i, j) in enumerate(pairs):
-        inverted = target >> bit & 1
-        if j <= m:
-            (below if inverted else above)[j - 1].append(i - 1)
-        elif i <= m:
-            cross.append((i - 1, j - 1, inverted))
-            if inverted:
-                rank_lo[i - 1] = max(rank_lo[i - 1], j - m)
-            else:
-                rank_hi[i - 1] = min(rank_hi[i - 1], j - i - 1)
-        elif inverted:
+        if target >> bit & 1:
+            lower[i - 1] |= 1 << (j - 1)
+        else:
+            lower[j - 1] |= 1 << (i - 1)
+    for p in range(m + 1, n):
+        lower[p] |= 1 << (p - 1)
+    done = 0
+    while done != (1 << n) - 1:
+        peeled = done
+        for p, below in enumerate(lower):
+            if below & done == below:
+                done |= 1 << p
+        if done == peeled:
             return []
-
-    bounds = list(zip(above, below, rank_lo, rank_hi))
     out = []
-    _extend(0, [0] * m, [True] * (n + 1), bounds, cross, out)
+    _extend(1, 0, m, [0] * n, lower, (1 << m) - 1, out)
+    out.sort()
     return out
 
 
-def _extend(depth, head, free, bounds, cross, out):
-    """Place position depth of _match's search and everything after it.
+def _extend(value, filled, k, word, lower, head, out):
+    """Give value and every larger one to the empty positions of word.
+
+    head is the bitmask of the first m positions and k the first empty
+    position of the sorted suffix, the only suffix position that can take
+    a value next.  Once the head is filled, positions k, k+1, ... take the
+    remaining values in order.
 
     A module-level function rather than a closure in _match: a closure that
     calls itself is a reference cycle, which would keep each call's state
     and output alive until the cyclic garbage collector runs.
     """
-    n = len(free) - 1
-    if depth == len(head):
-        perm = head + [v for v in range(1, n + 1) if free[v]]
-        for a, b, inverted in cross:
-            if (perm[a] > perm[b]) != inverted:
-                return
-        out.append(tuple(perm))
+    if filled & head == head:
+        word[k:] = range(value, len(word) + 1)
+        out.append(tuple(word))
         return
-    above, below, r_lo, r_hi = bounds[depth]
-    lo = 1
-    for a in above:
-        if head[a] >= lo:
-            lo = head[a] + 1
-    hi = n
-    for a in below:
-        if head[a] <= hi:
-            hi = head[a] - 1
-    rank = 0
-    for v in range(1, hi + 1):
-        if free[v]:
-            if rank > r_hi:
-                break
-            if v >= lo and rank >= r_lo:
-                free[v] = False
-                head[depth] = v
-                _extend(depth + 1, head, free, bounds, cross, out)
-                free[v] = True
-            rank += 1
+    for p in range(head.bit_length()):
+        below = lower[p]
+        if not filled >> p & 1 and below & filled == below:
+            word[p] = value
+            _extend(value + 1, filled | 1 << p, k, word, lower, head, out)
+    if k < len(word) and lower[k] & filled == lower[k]:
+        word[k] = value
+        _extend(value + 1, filled | 1 << k, k + 1, word, lower, head, out)

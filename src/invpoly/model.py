@@ -25,6 +25,9 @@ class HSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
+        for v in (*self.prefix, self.tail_offset):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InputError(f"h-sequence values must be integers, got {v!r}")
         if self.tail_offset < 1:
             raise InputError(f"tail offset must be >= 1, got {self.tail_offset}")
         prev = 0
@@ -55,7 +58,7 @@ class HSequence:
     @classmethod
     def from_json(cls, data: dict) -> "HSequence":
         try:
-            return cls(tuple(data["prefix"]), int(data["tail_offset"]))
+            return cls(tuple(data["prefix"]), data["tail_offset"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad h-sequence JSON: {data!r}") from exc
 

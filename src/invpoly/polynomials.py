@@ -137,6 +137,19 @@ class MonomialPoly:
         return " + ".join(bits)
 
 
+def _convolve(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients of the product of two coefficient sequences."""
+    if not xs or not ys:
+        return ()
+    out = [0] * (len(xs) + len(ys) - 1)
+    for p, a in enumerate(xs):
+        if a == 0:
+            continue
+        for r, b in enumerate(ys):
+            out[p + r] += a * b
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class QPoly:
     """Dense exact-integer polynomial in q (also used for the Poincare t)."""
@@ -188,15 +201,7 @@ class QPoly:
         return self + QPoly(tuple(-c for c in other.coeffs))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.coeffs or not other.coeffs:
-            return QPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for p, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for r, b in enumerate(other.coeffs):
-                out[p + r] += a * b
-        return QPoly(tuple(out))
+        return QPoly(_convolve(self.coeffs, other.coeffs))
 
     def at_one(self) -> int:
         return sum(self.coeffs)
@@ -315,15 +320,18 @@ def is_pf2(values: Sequence[int]) -> bool:
 def q_seq_strongly_log_concave(fs: Sequence[QPoly]) -> bool:
     """Coefficientwise f_i f_j - f_{i-1} f_{j+1} >= 0 for all i <= j.
 
-    Out-of-range entries are the zero polynomial.
+    Out-of-range entries are the zero polynomial.  Each product f_a f_b
+    with a <= b is formed once, on coefficient tuples: row i holds the
+    products f_i f_j, and f_{i-1} f_{j+1} is read from the row before.
     """
-    L = len(fs)
-
-    def at(p):
-        return fs[p] if 0 <= p < L else QPoly.zero()
-
-    for i in range(L):
-        for j in range(i, L):
-            if not (at(i) * at(j) - at(i - 1) * at(j + 1)).is_nonnegative():
+    cs = [f.coeffs for f in fs]
+    prev: dict[int, tuple[int, ...]] = {}
+    for i, fi in enumerate(cs):
+        row = {j: _convolve(fi, cs[j]) for j in range(i, len(cs))}
+        for j, big in row.items():
+            small = prev.get(j + 1, ())
+            if any(x < y for x, y in
+                   itertools.zip_longest(big, small, fillvalue=0)):
                 return False
+        prev = row
     return True

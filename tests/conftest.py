@@ -1,6 +1,4 @@
-import pytest
-
-from invpoly import HSequence, enumerate_admissible
+from invpoly import HSequence
 
 # The sweep corpus: the h family exercised by every cross-checking suite.
 CORPUS_H = [
@@ -11,18 +9,3 @@ CORPUS_H = [
     HSequence((3, 4, 6, 7, 7), 1),
     HSequence((5, 5, 6, 6), 1),
 ]
-
-CORPUS_IDS = [
-    "tail1", "tail2", "tail3", "prefix-2445", "prefix-34677", "prefix-5566",
-]
-
-
-@pytest.fixture(params=CORPUS_H, ids=CORPUS_IDS)
-def corpus_h(request):
-    return request.param
-
-
-def admissible_upto(h, j_cap):
-    """All nonempty admissible sets with j(S) <= j_cap, in canonical order."""
-    classes = enumerate_admissible(h, j_cap)
-    return sorted((S for S in classes if S), key=lambda S: S.pairs)

@@ -86,6 +86,16 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("h", [
+        '{"prefix":[3.0],"tail_offset":1}',
+        '{"prefix":[],"tail_offset":1.5}',
+        '{"prefix":[],"tail_offset":true}',
+    ])
+    def test_non_integer_h_value_is_3(self, runner, h):
+        res = runner.invoke(main, ["eval", "--h", h, "--s", "[[1,2]]", "--n", "3"])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
     def test_missing_problem_file_is_3(self, runner, tmp_path):
         res = runner.invoke(main, ["eval", "--json", str(tmp_path / "absent.json")])
         assert res.exit_code == 3

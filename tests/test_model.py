@@ -38,6 +38,13 @@ class TestHSequence:
         with pytest.raises(InputError):
             HSequence((), 0)
 
+    @pytest.mark.parametrize(
+        "prefix, tail", [((2.5,), 1), ((3.0,), 1), ((), 1.5), ((), True)]
+    )
+    def test_rejects_non_integer_values(self, prefix, tail):
+        with pytest.raises(InputError):
+            HSequence(prefix, tail)
+
     def test_json_round_trip(self):
         h = HSequence((3, 4, 6, 7, 7), 2)
         assert HSequence.from_json(h.to_json()) == h

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,25 @@ class TestSequenceAnalyzers:
         assert q_seq_strongly_log_concave([one, one + q, one])
         # f_0 f_2 - nothing fine, but f_1^2 - f_0 f_2 must be nonnegative
         assert not q_seq_strongly_log_concave([one + q, one, one + q])
+
+    def test_strong_q_log_concavity_matches_qpoly_formula(self):
+        def reference(fs):
+            def at(p):
+                return fs[p] if 0 <= p < len(fs) else QPoly.zero()
+
+            return all(
+                (at(i) * at(j) - at(i - 1) * at(j + 1)).is_nonnegative()
+                for i in range(len(fs))
+                for j in range(i, len(fs))
+            )
+
+        rng = random.Random(31)
+        seqs = [[q_binom(6, k) for k in range(7)]]
+        for _ in range(400):
+            seqs.append([
+                QPoly(tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4))))
+                for _ in range(rng.randint(0, 5))
+            ])
+        verdicts = [q_seq_strongly_log_concave(fs) for fs in seqs]
+        assert verdicts == [reference(fs) for fs in seqs]
+        assert verdicts[0] and verdicts.count(False) > 0
