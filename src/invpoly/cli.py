@@ -3,10 +3,13 @@
 Inputs arrive as --h/--s/--n flags (JSON fragments) or a single --json
 file; output is human-readable by default, machine JSON with --json-out.
 
-Exit codes: 0 ok, 1 verification failure, 2 inadmissible set,
-3 bad input (unparsable, malformed, a non-integer h-sequence value, a
---json file that cannot be read, a non-integer INVPOLY_MAX_N, below the
-validity floor, or a cyclic order), 4 brute-force bound exceeded.
+Exit codes: 0 ok, 1 verification failure, 2 inadmissible set, 3 bad
+input (unparsable, malformed, a non-integer h-sequence value, pair index
+or n, a --json file that cannot be read, a non-integer INVPOLY_MAX_N,
+--jobs below 1, below the validity floor, or a cyclic order), 4
+brute-force bound exceeded, 5 two routes that must agree disagree.  Each library error
+carries its code (invpoly.errors); click's own usage errors, such as a
+bad flag value or an unknown command, also exit 2.
 """
 
 from __future__ import annotations
@@ -25,25 +28,9 @@ from invpoly import (
     polynomials,
     posets,
 )
-from invpoly.errors import (
-    BelowValidityFloorError,
-    BoundExceededError,
-    InadmissibleSetError,
-    InputError,
-    NoDescentError,
-    PosetCycleError,
-)
+from invpoly.errors import InadmissibleSetError, InputError, InvpolyError
 
-EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_INADMISSIBLE = 2
-EXIT_PARSE = 3
-EXIT_BOUND = 4
-
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _load_problem(h, s, n, json_file):
@@ -60,11 +47,14 @@ def _load_problem(h, s, n, json_file):
             data["n"] = n
         hseq = model.HSequence.from_json(data["h"])
         S = model.PairSet.from_json(data["S"]) if "S" in data else None
-        return hseq, S, data.get("n")
+        n = data.get("n")
     # ValueError also covers json.JSONDecodeError and InputError; OSError
     # covers a --json file that is missing or unreadable
     except (KeyError, TypeError, ValueError, OSError) as exc:
-        _fail(EXIT_PARSE, f"bad input: {exc}")
+        raise InputError(f"bad input: {exc}") from exc
+    if n is not None:
+        model.require_int(n, "n")
+    return hseq, S, n
 
 
 def _emit(payload: dict, human: str, json_out: bool):
@@ -74,17 +64,15 @@ def _emit(payload: dict, human: str, json_out: bool):
         click.echo(human)
 
 
-def _guard(fn):
-    try:
-        return fn()
-    except InadmissibleSetError as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
-    except NoDescentError as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
-    except BoundExceededError as exc:
-        _fail(EXIT_BOUND, str(exc))
-    except (InputError, BelowValidityFloorError, PosetCycleError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+class _Main(click.Group):
+    """Runs a command; a library error ends it with one line and its code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InvpolyError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.exit_code)
 
 
 h_opt = click.option("--h", "h", default=None, help='h-sequence JSON, e.g. \'{"prefix":[],"tail_offset":2}\'')
@@ -94,7 +82,7 @@ json_opt = click.option("--json", "json_file", default=None, help="problem spec 
 out_opt = click.option("--json-out", is_flag=True, help="emit machine-readable JSON")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Restricted inversion polynomials: exact counts, expansions, q-analogues."""
 
@@ -111,38 +99,34 @@ def cmd_eval(h, s, n, json_file, want_perms, json_out):
     """Count permutations with the given restricted inversion set at n."""
     hseq, S, n = _load_problem(h, s, n, json_file)
     if S is None or n is None:
-        _fail(EXIT_PARSE, "eval needs both S and n")
-
-    def run():
-        if not model.is_admissible(hseq, S):
-            raise InadmissibleSetError(f"{S} is not h-admissible")
-        if want_perms:
-            perms = enumeration.enumerate_Ih(hseq, S, n)
-            payload = {"S": S.to_json(), "n": n,
-                       "perms": [p.to_json() for p in perms]}
-            human = "\n".join(str(p) for p in perms) + f"\ncount: {len(perms)}"
-            _emit(payload, human, json_out)
-            return
-        payload = {"S": S.to_json(), "n": n, "methods": {}}
-        lines = []
-        if n <= config.max_n():
-            count = len(enumeration.enumerate_Ih(hseq, S, n))
-            payload["methods"]["brute_force"] = count
-            lines.append(f"brute force: {count}")
-        for make in (expansions.fiber_expansion, expansions.b_expansion,
-                     expansions.a_expansion):
-            res = make(hseq, S)
-            value = res.eval_raw(n)
-            below = n < res.validity_floor
-            payload["methods"][res.basis] = {
-                "value": value,
-                "below_validity_floor": below,
-            }
-            note = "  (below validity floor: polynomial value, not a count)" if below else ""
-            lines.append(f"{res.basis}-expansion: {value}{note}")
-        _emit(payload, "\n".join(lines), json_out)
-
-    _guard(run)
+        raise InputError("eval needs both S and n")
+    if not model.is_admissible(hseq, S):
+        raise InadmissibleSetError(f"{S} is not h-admissible")
+    if want_perms:
+        perms = enumeration.enumerate_Ih(hseq, S, n)
+        payload = {"S": S.to_json(), "n": n,
+                   "perms": [p.to_json() for p in perms]}
+        human = "\n".join(str(p) for p in perms) + f"\ncount: {len(perms)}"
+        _emit(payload, human, json_out)
+        return
+    payload = {"S": S.to_json(), "n": n, "methods": {}}
+    lines = []
+    if n <= config.max_n():
+        count = len(enumeration.enumerate_Ih(hseq, S, n))
+        payload["methods"]["brute_force"] = count
+        lines.append(f"brute force: {count}")
+    for make in (expansions.fiber_expansion, expansions.b_expansion,
+                 expansions.a_expansion):
+        res = make(hseq, S)
+        value = res.eval_raw(n)
+        below = n < res.validity_floor
+        payload["methods"][res.basis] = {
+            "value": value,
+            "below_validity_floor": below,
+        }
+        note = "  (below validity floor: polynomial value, not a count)" if below else ""
+        lines.append(f"{res.basis}-expansion: {value}{note}")
+    _emit(payload, "\n".join(lines), json_out)
 
 
 @main.command("expand")
@@ -155,22 +139,18 @@ def cmd_expand(h, s, json_file, basis, json_out):
     """Closed-form expansion in the chosen binomial basis."""
     hseq, S, _ = _load_problem(h, s, None, json_file)
     if S is None:
-        _fail(EXIT_PARSE, "expand needs S")
-
-    def run():
-        make = {"fiber": expansions.fiber_expansion,
-                "b": expansions.b_expansion,
-                "a": expansions.a_expansion}[basis]
-        res = make(hseq, S)
-        human = (
-            f"{basis}-expansion: {res.poly}\n"
-            f"coefficients: {res.coeffs.to_json()}\n"
-            f"monomial: {res.poly.to_monomial()}\n"
-            f"valid as a count for n >= {res.validity_floor}"
-        )
-        _emit(res.to_json(), human, json_out)
-
-    _guard(run)
+        raise InputError("expand needs S")
+    make = {"fiber": expansions.fiber_expansion,
+            "b": expansions.b_expansion,
+            "a": expansions.a_expansion}[basis]
+    res = make(hseq, S)
+    human = (
+        f"{basis}-expansion: {res.poly}\n"
+        f"coefficients: {res.coeffs.to_json()}\n"
+        f"monomial: {res.poly.to_monomial()}\n"
+        f"valid as a count for n >= {res.validity_floor}"
+    )
+    _emit(res.to_json(), human, json_out)
 
 
 @main.command("graded")
@@ -183,19 +163,15 @@ def cmd_graded(h, s, n, json_file, json_out):
     """Graded b-coefficients, plus the q-polynomial at n if given."""
     hseq, S, n = _load_problem(h, s, n, json_file)
     if S is None:
-        _fail(EXIT_PARSE, "graded needs S")
-
-    def run():
-        ge = graded_mod.b_q_coefficients(hseq, S)
-        payload = ge.to_json()
-        lines = [f"b_{k}(q) = {ge.coeff(k)}" for k in ge.indices()]
-        if n is not None:
-            value = graded_mod.graded_expansion_eval(ge, n)
-            payload["value_at_n"] = {"n": n, "poly": value.to_json()}
-            lines.append(f"graded polynomial at n={n}: {value}")
-        _emit(payload, "\n".join(lines), json_out)
-
-    _guard(run)
+        raise InputError("graded needs S")
+    ge = graded_mod.b_q_coefficients(hseq, S)
+    payload = ge.to_json()
+    lines = [f"b_{k}(q) = {ge.coeff(k)}" for k in ge.indices()]
+    if n is not None:
+        value = graded_mod.graded_expansion_eval(ge, n)
+        payload["value_at_n"] = {"n": n, "poly": value.to_json()}
+        lines.append(f"graded polynomial at n={n}: {value}")
+    _emit(payload, "\n".join(lines), json_out)
 
 
 @main.command("poset")
@@ -207,24 +183,20 @@ def cmd_poset(h, s, json_file, json_out):
     """The order on [h(m)] attached to S, its extensions and heights."""
     hseq, S, _ = _load_problem(h, s, None, json_file)
     if S is None:
-        _fail(EXIT_PARSE, "poset needs S")
-
-    def run():
-        P = posets.build_poset(hseq, S)
-        hm = hseq.h(S.m())
-        exts = posets.linear_extensions(P)
-        heights = posets.height_sequence(P, hm)
-        payload = P.to_json()
-        payload["extensions"] = [e.to_json() for e in exts]
-        payload["heights"] = {"v": hm, "heights": heights}
-        human = (
-            f"poset on [{P.ground}], covers {P.cover_relations()}\n"
-            f"{len(exts)} linear extensions\n"
-            f"height sequence of {hm}: {heights}"
-        )
-        _emit(payload, human, json_out)
-
-    _guard(run)
+        raise InputError("poset needs S")
+    P = posets.build_poset(hseq, S)
+    hm = hseq.h(S.m())
+    exts = posets.linear_extensions(P)
+    heights = posets.height_sequence(P, hm)
+    payload = P.to_json()
+    payload["extensions"] = [e.to_json() for e in exts]
+    payload["heights"] = {"v": hm, "heights": heights}
+    human = (
+        f"poset on [{P.ground}], covers {P.cover_relations()}\n"
+        f"{len(exts)} linear extensions\n"
+        f"height sequence of {hm}: {heights}"
+    )
+    _emit(payload, human, json_out)
 
 
 @main.command("admissible")
@@ -236,19 +208,15 @@ def cmd_admissible(h, n, json_file, json_out):
     """Group S_n by restricted inversion set."""
     hseq, _, n = _load_problem(h, None, n, json_file)
     if n is None:
-        _fail(EXIT_PARSE, "admissible needs n")
-
-    def run():
-        classes = enumeration.enumerate_admissible(hseq, n)
-        ordered = sorted(classes.items(), key=lambda kv: kv[0].pairs)
-        payload = {
-            "classes": [{"S": S.to_json(), "count": c} for S, c in ordered]
-        }
-        lines = [f"{S}: {c}" for S, c in ordered]
-        lines.append(f"total classes: {len(ordered)}")
-        _emit(payload, "\n".join(lines), json_out)
-
-    _guard(run)
+        raise InputError("admissible needs n")
+    classes = enumeration.enumerate_admissible(hseq, n)
+    ordered = sorted(classes.items(), key=lambda kv: kv[0].pairs)
+    payload = {
+        "classes": [{"S": S.to_json(), "count": c} for S, c in ordered]
+    }
+    lines = [f"{S}: {c}" for S, c in ordered]
+    lines.append(f"total classes: {len(ordered)}")
+    _emit(payload, "\n".join(lines), json_out)
 
 
 @main.command("poincare")
@@ -260,38 +228,31 @@ def cmd_poincare(h, n, json_file, json_out):
     """Betti generating function of the associated Hessenberg variety."""
     hseq, _, n = _load_problem(h, None, n, json_file)
     if n is None:
-        _fail(EXIT_PARSE, "poincare needs n")
-
-    def run():
-        poly = enumeration.poincare(hseq, n)
-        _emit(poly.to_json(), f"{str(poly).replace('q', 't')}", json_out)
-
-    _guard(run)
+        raise InputError("poincare needs n")
+    poly = enumeration.poincare(hseq, n)
+    _emit(poly.to_json(), f"{str(poly).replace('q', 't')}", json_out)
 
 
 @main.command("verify-conjecture")
 @h_opt
 @json_opt
 @click.option("--cap", type=int, default=7, help="largest h(m(S)) to sweep")
-@click.option("--jobs", type=int, default=1)
+@click.option("--jobs", type=int, default=1,
+              help="worker processes, at most the CPU count")
 @out_opt
 def cmd_verify_conjecture(h, json_file, cap, jobs, json_out):
     """Strong q-log-concavity sweep over all admissible sets up to the cap."""
     hseq, _, _ = _load_problem(h, None, None, json_file)
-
-    def run():
-        report = graded_mod.verify_conjecture(hseq, cap, jobs=jobs)
-        human = (
-            f"checked {report.checked} admissible sets (h(m) <= {cap}) "
-            f"in {report.elapsed_ms:.0f} ms: "
-            + ("all strongly q-log-concave" if report.ok
-               else f"{len(report.violations)} VIOLATIONS")
-        )
-        _emit(report.to_json(), human, json_out)
-        if not report.ok:
-            sys.exit(EXIT_VERIFY_FAILED)
-
-    _guard(run)
+    report = graded_mod.verify_conjecture(hseq, cap, jobs=jobs)
+    human = (
+        f"checked {report.checked} admissible sets (h(m) <= {cap}) "
+        f"in {report.elapsed_ms:.0f} ms: "
+        + ("all strongly q-log-concave" if report.ok
+           else f"{len(report.violations)} VIOLATIONS")
+    )
+    _emit(report.to_json(), human, json_out)
+    if not report.ok:
+        sys.exit(EXIT_VERIFY_FAILED)
 
 
 @main.command("verify")
@@ -303,7 +264,7 @@ def cmd_verify_conjecture(h, json_file, cap, jobs, json_out):
 def cmd_verify(h, json_file, cap, golden, json_out):
     """Run the cross-checking invariant suite (or the golden replay)."""
     if golden:
-        failures = _guard(run_golden)
+        failures = run_golden()
         if failures:
             for f in failures:
                 click.echo(f"GOLDEN FAIL: {f}")
@@ -311,19 +272,15 @@ def cmd_verify(h, json_file, cap, golden, json_out):
         click.echo("golden replay: all examples reproduced")
         return
     hseq, _, _ = _load_problem(h, None, None, json_file)
-
-    def run():
-        failures = run_invariant_suite(hseq, cap)
-        payload = {"cap": cap, "failures": failures}
-        human = (
-            f"invariant suite at cap {cap}: "
-            + ("all checks passed" if not failures else "FAILURES:\n" + "\n".join(failures))
-        )
-        _emit(payload, human, json_out)
-        if failures:
-            sys.exit(EXIT_VERIFY_FAILED)
-
-    _guard(run)
+    failures = run_invariant_suite(hseq, cap)
+    payload = {"cap": cap, "failures": failures}
+    human = (
+        f"invariant suite at cap {cap}: "
+        + ("all checks passed" if not failures else "FAILURES:\n" + "\n".join(failures))
+    )
+    _emit(payload, human, json_out)
+    if failures:
+        sys.exit(EXIT_VERIFY_FAILED)
 
 
 def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:

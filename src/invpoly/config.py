@@ -1,8 +1,8 @@
 """Runtime limits for the brute-force oracles.
 
-The default cap keeps full S_n sweeps at or below 10! words.  It can be
-overridden per call, or globally through the INVPOLY_MAX_N environment
-variable, which must be an integer.
+The default cap keeps full S_n sweeps at or below 10! words.  The
+INVPOLY_MAX_N environment variable, which must be an integer, overrides
+it; it is the only cap.
 """
 
 import os

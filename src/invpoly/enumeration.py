@@ -26,8 +26,8 @@ from invpoly.model import (
 from invpoly.polynomials import QPoly
 
 
-def _check_bound(n: int, bound: int | None) -> None:
-    cap = config.max_n() if bound is None else bound
+def _check_bound(n: int) -> None:
+    cap = config.max_n()
     if n > cap:
         raise BoundExceededError(
             f"brute-force enumeration at n={n} exceeds the cap {cap}"
@@ -54,11 +54,9 @@ def _unmask(mask: int, window: tuple[tuple[int, int], ...]) -> PairSet:
     return PairSet(p for b, p in enumerate(window) if mask >> b & 1)
 
 
-def enumerate_Ih(
-    h: HSequence, S: PairSet, n: int, bound: int | None = None
-) -> list[Permutation]:
+def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
     """All permutations of [n] with restricted inversion set exactly S."""
-    _check_bound(n, bound)
+    _check_bound(n)
     window = _pair_window(h, n)
     mask = _mask_of(S, window)
     if mask is None:
@@ -94,18 +92,16 @@ class FiberDatum:
     t_value: int
 
 
-def fiber_data(h: HSequence, S: PairSet, bound: int | None = None) -> list[FiberDatum]:
+def fiber_data(h: HSequence, S: PairSet) -> list[FiberDatum]:
     """One datum per element of I_h(S, j(S)): the base point and its t-value."""
     j = S.j()
     return [
         FiberDatum(sigma, t_of(sigma, h, S))
-        for sigma in enumerate_Ih(h, S, j, bound)
+        for sigma in enumerate_Ih(h, S, j)
     ]
 
 
-def B_k_set(
-    h: HSequence, S: PairSet, n: int, k: int, bound: int | None = None
-) -> list[Permutation]:
+def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[Permutation]:
     """Members of I_h(S, n) whose entry at position h(m(S)) equals k."""
     hm = h.h(S.m())
     if n < hm:
@@ -155,23 +151,21 @@ def A_star_set(h: HSequence, S: PairSet, k: int) -> list[Permutation]:
     return out
 
 
-def enumerate_admissible(
-    h: HSequence, n: int, bound: int | None = None
-) -> dict[PairSet, int]:
+def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:
     """Group S_n by restricted inversion set; counts sum to n!."""
-    _check_bound(n, bound)
+    _check_bound(n)
     window = _pair_window(h, n)
     counts = kernels.admissible_counts(n, window)
     return {_unmask(mask, window): c for mask, c in counts.items()}
 
 
-def poincare(h: HSequence, n: int, bound: int | None = None) -> QPoly:
+def poincare(h: HSequence, n: int) -> QPoly:
     """Generating function sum over S_n of t^(2 * #inv_h(pi)).
 
     For an indecomposable Hessenberg function this is the Poincare
     polynomial of the associated regular semisimple Hessenberg variety.
     """
-    _check_bound(n, bound)
+    _check_bound(n)
     window = _pair_window(h, n)
     counts = kernels.admissible_counts(n, window)
     exps: dict[int, int] = {}
@@ -184,10 +178,6 @@ def poincare(h: HSequence, n: int, bound: int | None = None) -> QPoly:
     return QPoly(tuple(cs))
 
 
-def graded_Ih_oracle(
-    h: HSequence, S: PairSet, n: int, bound: int | None = None
-) -> QPoly:
+def graded_Ih_oracle(h: HSequence, S: PairSet, n: int) -> QPoly:
     """Length generating function over I_h(S, n)."""
-    return QPoly.from_exponents(
-        pi.length() for pi in enumerate_Ih(h, S, n, bound)
-    )
+    return QPoly.from_exponents(pi.length() for pi in enumerate_Ih(h, S, n))

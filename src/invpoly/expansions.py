@@ -16,6 +16,7 @@ from invpoly.errors import (
     BelowValidityFloorError,
     InadmissibleSetError,
     InputError,
+    RouteDisagreementError,
 )
 from invpoly.model import HSequence, PairSet, is_admissible
 from invpoly.polynomials import BinomialPoly, binom
@@ -187,7 +188,7 @@ def is_constant(h: HSequence, S: PairSet) -> bool:
     P = build_poset(h, S)
     by_poset = P.maximal_elements() == {h.h(m)}
     if by_scan != by_poset:
-        raise RuntimeError(
+        raise RouteDisagreementError(
             f"constancy criteria disagree on {S}: scan {by_scan}, poset {by_poset}"
         )
     return by_scan

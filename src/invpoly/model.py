@@ -16,6 +16,13 @@ from typing import Iterable, Iterator
 from invpoly.errors import InputError, NoDescentError
 
 
+def require_int(value, what: str) -> int:
+    """value itself if it is an int; InputError for anything else, bool too."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class HSequence:
     """Finitely presented h-sequence: prefix values, then h(i) = i + t."""
@@ -26,8 +33,7 @@ class HSequence:
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
         for v in (*self.prefix, self.tail_offset):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f"h-sequence values must be integers, got {v!r}")
+            require_int(v, "an h-sequence value")
         if self.tail_offset < 1:
             raise InputError(f"tail offset must be >= 1, got {self.tail_offset}")
         prev = 0
@@ -197,9 +203,12 @@ class PairSet:
     @classmethod
     def from_json(cls, data) -> "PairSet":
         try:
-            return cls((int(i), int(j)) for i, j in data)
+            pairs = [(i, j) for i, j in data]
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad pair-set JSON: {data!r}") from exc
+        for v in itertools.chain.from_iterable(pairs):
+            require_int(v, "a pair index")
+        return cls(pairs)
 
     def __repr__(self):
         inner = ", ".join(f"({i},{j})" for i, j in self.pairs)

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from invpoly.errors import InadmissibleSetError, InputError, PosetCycleError
+from invpoly.errors import (
+    InadmissibleSetError,
+    InputError,
+    PosetCycleError,
+    RouteDisagreementError,
+)
 from invpoly.model import (
     HSequence,
     PairSet,
@@ -242,7 +247,7 @@ def d_S_of(h: HSequence, S: PairSet) -> int:
                 below.add(i)
                 frontier.append(i)
     if len(below) != by_poset:
-        raise RuntimeError(
+        raise RouteDisagreementError(
             f"d_S routes disagree: poset {by_poset} vs chains {len(below)}"
         )
     return by_poset

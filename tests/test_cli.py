@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from invpoly import errors, posets
 from invpoly.cli import main
 
 H2 = '{"prefix":[],"tail_offset":2}'
@@ -118,6 +119,64 @@ class TestExitCodes:
         assert res.output.startswith("error: ")
         assert res.output.count("\n") == 1
         assert "GOLDEN FAIL" not in res.output
+
+    @pytest.mark.parametrize("s", [
+        "[[1.5,3],[2,3],[2,4]]",
+        "[[true,3],[2,3],[2,4]]",
+        '[["1",3],[2,3],[2,4]]',
+    ])
+    def test_non_integer_pair_index_is_3(self, runner, s):
+        res = runner.invoke(main, ["eval", "--h", H2, "--s", s, "--n", "4"])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["eval", "graded"])
+    @pytest.mark.parametrize("n", ["4", 4.5, [4], True])
+    def test_non_integer_n_in_problem_file_is_3(self, runner, tmp_path, command, n):
+        spec = tmp_path / "problem.json"
+        spec.write_text(json.dumps({
+            "h": {"prefix": [], "tail_offset": 2},
+            "S": [[1, 3], [2, 3], [2, 4]],
+            "n": n,
+        }))
+        res = runner.invoke(main, [command, "--json", str(spec)])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_3(self, runner, jobs):
+        res = runner.invoke(
+            main, ["verify-conjecture", "--h", H2, "--cap", "4", "--jobs", jobs]
+        )
+        assert res.exit_code == 3
+        assert res.output.startswith("error: ")
+
+    def test_route_disagreement_is_5(self, runner, monkeypatch):
+        # an order with no relations: the poset route to d_S then disagrees
+        # with the chain route
+        monkeypatch.setattr(
+            posets, "build_poset", lambda h, S: posets.Poset(h.h(S.m()), frozenset())
+        )
+        res = runner.invoke(main, ["verify", "--h", H2, "--cap", "4"])
+        assert res.exit_code == 5
+        assert res.output.startswith("error: d_S routes disagree")
+        assert res.output.count("\n") == 1
+
+    def test_other_exceptions_stay_tracebacks(self, runner, monkeypatch):
+        def broken(h, S):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(posets, "build_poset", broken)
+        res = runner.invoke(main, ["poset", "--h", H2, "--s", S_QUAD])
+        assert isinstance(res.exception, RuntimeError)
+        assert "error:" not in res.output
+
+    def test_every_error_declares_its_code(self):
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.InvpolyError)]
+        assert len(classes) == 8
+        for cls in classes:
+            assert "exit_code" in vars(cls), cls.__name__
 
 
 class TestExpand:

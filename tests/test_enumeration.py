@@ -54,12 +54,13 @@ class TestEnumerateIh:
     def test_set_outside_window_empty(self):
         assert enumerate_Ih(H2, PairSet([(1, 4)]), 5) == []
 
-    def test_bound_enforced(self):
+    def test_bound_enforced(self, monkeypatch):
         with pytest.raises(BoundExceededError):
             enumerate_Ih(H2, S_QUAD, 11)
-        # explicit bound overrides the default
+        # INVPOLY_MAX_N overrides the default
+        monkeypatch.setenv("INVPOLY_MAX_N", "6")
         with pytest.raises(BoundExceededError):
-            enumerate_Ih(H2, S_QUAD, 7, bound=6)
+            enumerate_Ih(H2, S_QUAD, 7)
 
     def test_structured_matches_full_sweep(self):
         for S in (S_QUAD, S_FIVE, PairSet([(1, 2)])):

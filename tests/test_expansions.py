@@ -4,6 +4,7 @@ from invpoly import (
     CoeffSeq,
     HSequence,
     PairSet,
+    Poset,
     a_expansion,
     a_from_b,
     b_expansion,
@@ -12,10 +13,12 @@ from invpoly import (
     fiber_expansion,
     is_constant,
 )
+from invpoly import expansions
 from invpoly.errors import (
     BelowValidityFloorError,
     InadmissibleSetError,
     InputError,
+    RouteDisagreementError,
 )
 
 H2 = HSequence((), 2)
@@ -127,3 +130,14 @@ class TestDegreeAndConstancy:
     def test_empty_set(self):
         assert is_constant(H2, PairSet())
         assert degree_of(H2, PairSet()) == 0
+
+    def test_criteria_disagreement_raises(self, monkeypatch):
+        # every element below h(m): the poset criterion says constant, the
+        # scan does not
+        def star(h, S):
+            hm = h.h(S.m())
+            return Poset(hm, frozenset((a, hm) for a in range(1, hm)))
+
+        monkeypatch.setattr(expansions, "build_poset", star)
+        with pytest.raises(RouteDisagreementError):
+            is_constant(H2, S_QUAD)

@@ -1,5 +1,9 @@
+import concurrent.futures
+import os
+
 import pytest
 
+from invpoly import graded
 from invpoly import (
     HSequence,
     PairSet,
@@ -12,7 +16,12 @@ from invpoly import (
     verify_conjecture,
 )
 from invpoly.enumeration import graded_Ih_oracle
-from invpoly.errors import BelowValidityFloorError, InadmissibleSetError
+from invpoly.errors import (
+    BelowValidityFloorError,
+    InadmissibleSetError,
+    InputError,
+    RouteDisagreementError,
+)
 
 H2 = HSequence((), 2)
 H3 = HSequence((), 3)
@@ -96,3 +105,43 @@ class TestVerifyConjecture:
         parallel = verify_conjecture(H2, 5, jobs=2)
         assert serial.checked == parallel.checked
         assert serial.violations == parallel.violations
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(InputError):
+            verify_conjecture(H2, 4, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, cpus, pools", [
+        (100_000, 4, [4]),
+        (3, 4, [3]),
+        (100_000, None, []),  # cpu count unknown: one process, no pool
+    ])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, jobs, cpus, pools):
+        made = []
+
+        class RecordingPool:
+            """Records max_workers and runs the map in-process; starts nothing."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = verify_conjecture(H2, 5, jobs=jobs)
+        assert made == pools
+        serial = verify_conjecture(H2, 5)
+        assert (report.checked, report.violations) == (serial.checked, serial.violations)
+
+    def test_vanished_violation_is_a_route_disagreement(self, monkeypatch):
+        monkeypatch.setattr(graded, "q_seq_strongly_log_concave", lambda seq: False)
+        with pytest.raises(RouteDisagreementError):
+            verify_conjecture(H2, 4)

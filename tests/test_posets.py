@@ -17,7 +17,7 @@ from invpoly import (
     linear_extensions,
 )
 from invpoly import posets
-from invpoly.errors import InputError, PosetCycleError
+from invpoly.errors import InputError, PosetCycleError, RouteDisagreementError
 
 H2 = HSequence((), 2)
 S_POSET = PairSet([(1, 3), (2, 3), (2, 4), (3, 4)])
@@ -163,3 +163,12 @@ class TestInducedPoset:
 
     def test_d_S(self):
         assert d_S_of(H2, S_POSET) == 3
+
+    def test_d_S_route_disagreement_raises(self, monkeypatch):
+        # an order with no relations puts nothing below h(m); the chain
+        # route still finds the elements below it
+        monkeypatch.setattr(
+            posets, "build_poset", lambda h, S: Poset(h.h(S.m()), frozenset())
+        )
+        with pytest.raises(RouteDisagreementError):
+            d_S_of(H2, S_POSET)
