@@ -17,7 +17,6 @@ from invpoly.enumeration import (
     t_of,
 )
 from invpoly.expansions import (
-    CoeffSeq,
     ExpansionResult,
     a_expansion,
     a_from_b,
@@ -37,15 +36,14 @@ from invpoly.model import (
     HSequence,
     PairSet,
     Permutation,
-    flatten,
     inv_h,
     is_admissible,
     is_h_closed,
-    length,
     possible_pairs,
 )
 from invpoly.polynomials import (
     BinomialPoly,
+    CoeffSeq,
     MonomialPoly,
     QPoly,
     binom,

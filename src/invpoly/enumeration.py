@@ -34,10 +34,6 @@ def _check_bound(n: int) -> None:
         )
 
 
-def _pair_window(h: HSequence, n: int) -> tuple[tuple[int, int], ...]:
-    return possible_pairs(h, n).pairs
-
-
 def _mask_of(S: PairSet, window: tuple[tuple[int, int], ...]) -> int | None:
     """Bitmask of S relative to the candidate-pair window; None if S leaks."""
     index = {p: b for b, p in enumerate(window)}
@@ -57,7 +53,7 @@ def _unmask(mask: int, window: tuple[tuple[int, int], ...]) -> PairSet:
 def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
     """All permutations of [n] with restricted inversion set exactly S."""
     _check_bound(n)
-    window = _pair_window(h, n)
+    window = possible_pairs(h, n).pairs
     mask = _mask_of(S, window)
     if mask is None:
         return []
@@ -72,7 +68,7 @@ def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[Permutatio
     if not S:
         return [Permutation.identity(n)]
     m = S.m()
-    window = _pair_window(h, n)
+    window = possible_pairs(h, n).pairs
     mask = _mask_of(S, window)
     if mask is None:
         return []
@@ -154,7 +150,7 @@ def A_star_set(h: HSequence, S: PairSet, k: int) -> list[Permutation]:
 def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:
     """Group S_n by restricted inversion set; counts sum to n!."""
     _check_bound(n)
-    window = _pair_window(h, n)
+    window = possible_pairs(h, n).pairs
     counts = kernels.admissible_counts(n, window)
     return {_unmask(mask, window): c for mask, c in counts.items()}
 
@@ -166,7 +162,7 @@ def poincare(h: HSequence, n: int) -> QPoly:
     polynomial of the associated regular semisimple Hessenberg variety.
     """
     _check_bound(n)
-    window = _pair_window(h, n)
+    window = possible_pairs(h, n).pairs
     counts = kernels.admissible_counts(n, window)
     exps: dict[int, int] = {}
     for mask, c in counts.items():

@@ -14,35 +14,12 @@ from dataclasses import dataclass
 from invpoly.enumeration import a_counts, b_counts, fiber_data
 from invpoly.errors import (
     BelowValidityFloorError,
-    InadmissibleSetError,
     InputError,
     RouteDisagreementError,
 )
-from invpoly.model import HSequence, PairSet, is_admissible
-from invpoly.polynomials import BinomialPoly, binom
-from invpoly.posets import build_poset
-
-
-@dataclass(frozen=True)
-class CoeffSeq:
-    """Integer coefficients with an explicit starting index."""
-
-    values: tuple[int, ...]
-    start: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __getitem__(self, k: int) -> int:
-        if not self.start <= k < self.start + len(self.values):
-            raise IndexError(k)
-        return self.values[k - self.start]
-
-    def indices(self) -> range:
-        return range(self.start, self.start + len(self.values))
-
-    def to_json(self) -> dict:
-        return {str(k): self[k] for k in self.indices()}
+from invpoly.model import HSequence, PairSet, require_admissible
+from invpoly.polynomials import BinomialPoly, CoeffSeq, binom
+from invpoly.posets import build_poset, d_S_of
 
 
 @dataclass(frozen=True)
@@ -75,14 +52,6 @@ class ExpansionResult:
         }
 
 
-def _require_admissible(h: HSequence, S: PairSet) -> None:
-    if not S:
-        raise InputError("expansion requested for the empty set; "
-                         "use the constant-1 special case upstream")
-    if not is_admissible(h, S):
-        raise InadmissibleSetError(f"{S} is not h-admissible")
-
-
 def _empty_result(basis: str) -> ExpansionResult:
     # Only the identity has no restricted inversions, at every n.
     return ExpansionResult(basis, BinomialPoly.constant(1), CoeffSeq((), 0), 1)
@@ -92,7 +61,7 @@ def fiber_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
     """One term binom(n - t(sigma), j - t(sigma)) per base point sigma."""
     if not S:
         return _empty_result("fiber")
-    _require_admissible(h, S)
+    require_admissible(h, S)
     j = S.j()
     data = fiber_data(h, S)
     terms = tuple((1, fd.t_value, j - fd.t_value) for fd in data)
@@ -110,7 +79,7 @@ def b_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
     """b_k = #B_k(S, h(m)) for k = h(m)-m .. h(m)."""
     if not S:
         return _empty_result("b")
-    _require_admissible(h, S)
+    require_admissible(h, S)
     m = S.m()
     hm = h.h(m)
     coeffs = CoeffSeq(b_counts(h, S), hm - m)
@@ -124,7 +93,7 @@ def a_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
     """a_k = #A*_k over the window m + h(m) - 1, for k = 0 .. m."""
     if not S:
         return _empty_result("a")
-    _require_admissible(h, S)
+    require_admissible(h, S)
     m = S.m()
     hm = h.h(m)
     aks = a_counts(h, S)
@@ -153,11 +122,9 @@ def a_from_b(b: CoeffSeq, m: int, hm: int) -> CoeffSeq:
 
 def degree_of(h: HSequence, S: PairSet) -> int:
     """Degree of the inversion polynomial: h(m) - d_S."""
-    from invpoly.posets import d_S_of
-
     if not S:
         return 0
-    _require_admissible(h, S)
+    require_admissible(h, S)
     return h.h(S.m()) - d_S_of(h, S)
 
 
@@ -170,7 +137,7 @@ def is_constant(h: HSequence, S: PairSet) -> bool:
     """
     if not S:
         return True
-    _require_admissible(h, S)
+    require_admissible(h, S)
     m = S.m()
     s_pairs = set(S.pairs)
 

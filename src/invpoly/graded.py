@@ -20,11 +20,10 @@ from invpoly.enumeration import (
 )
 from invpoly.errors import (
     BelowValidityFloorError,
-    InadmissibleSetError,
     InputError,
     RouteDisagreementError,
 )
-from invpoly.model import HSequence, PairSet, flatten, is_admissible, length
+from invpoly.model import HSequence, PairSet, require_admissible
 from invpoly.polynomials import (
     QPoly,
     q_binom,
@@ -39,6 +38,7 @@ __all__ = [
     "graded_expansion_eval",
     "length_split_check",
     "ConjectureReport",
+    "q_log_concavity_violation",
     "verify_conjecture",
 ]
 
@@ -65,8 +65,7 @@ class GradedExpansion:
 
 def b_q_coefficients(h: HSequence, S: PairSet) -> GradedExpansion:
     """b_k(q) = length generating function of B_k(S, h(m))."""
-    if not S or not is_admissible(h, S):
-        raise InadmissibleSetError(f"{S} is not a nonempty admissible set")
+    require_admissible(h, S)
     m = S.m()
     hm = h.h(m)
     b_q = tuple(
@@ -95,16 +94,15 @@ def length_split_check(h: HSequence, S: PairSet, n: int) -> bool:
     flattened window plus the subset length (within [k+1, n]) of the
     complement of the tail values.
     """
-    if not S or not is_admissible(h, S):
-        raise InadmissibleSetError(f"{S} is not a nonempty admissible set")
+    require_admissible(h, S)
     m = S.m()
     hm = h.h(m)
     for k in range(hm - m, hm + 1):
         for pi in B_k_set(h, S, n, k):
             tail = set(pi.word[hm:])
             comp = [v for v in range(k + 1, n + 1) if v not in tail]
-            want = length(flatten(pi, hm)) + subset_length(comp, k + 1, n)
-            if length(pi) != want:
+            want = pi.flatten(hm).length() + subset_length(comp, k + 1, n)
+            if pi.length() != want:
                 return False
     return True
 
@@ -129,12 +127,12 @@ class ConjectureReport:
         }
 
 
-def _check_one(h: HSequence, S: PairSet) -> dict | None:
-    ge = b_q_coefficients(h, S)
-    seq = [ge.coeff(k) for k in ge.indices()]
+def q_log_concavity_violation(S: PairSet, ge: GradedExpansion) -> dict | None:
+    """None if ge, the graded coefficients of S, is strongly
+    q-log-concave; otherwise a report of the first offending product."""
+    seq = ge.b_q
     if q_seq_strongly_log_concave(seq):
         return None
-    # locate the first offending product for the report
     L = len(seq)
     at = lambda p: seq[p] if 0 <= p < L else QPoly.zero()
     for i in range(L):
@@ -150,6 +148,10 @@ def _check_one(h: HSequence, S: PairSet) -> dict | None:
     raise RouteDisagreementError(
         f"{S}: the strong q-log-concavity test failed, but no pair (i, j) violates it"
     )
+
+
+def _check_one(h: HSequence, S: PairSet) -> dict | None:
+    return q_log_concavity_violation(S, b_q_coefficients(h, S))
 
 
 def verify_conjecture(h: HSequence, hm_cap: int, jobs: int = 1) -> ConjectureReport:

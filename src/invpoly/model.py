@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from invpoly.errors import InputError, NoDescentError
+from invpoly.errors import InadmissibleSetError, InputError, NoDescentError
 
 
 def require_int(value, what: str) -> int:
@@ -237,14 +237,6 @@ def inv_h(h: HSequence, pi: Permutation) -> PairSet:
     )
 
 
-def length(pi: Permutation) -> int:
-    return pi.length()
-
-
-def flatten(pi: Permutation, k: int) -> Permutation:
-    return pi.flatten(k)
-
-
 def is_h_closed(h: HSequence, pairs: PairSet, window: int) -> bool:
     """Closure under composition within the possible-pair window.
 
@@ -280,3 +272,9 @@ def is_admissible(h: HSequence, S: PairSet) -> bool:
     if not is_h_closed(h, S, window):
         return False
     return is_h_closed(h, P.minus(S), window)
+
+
+def require_admissible(h: HSequence, S: PairSet) -> None:
+    """InadmissibleSetError unless S is nonempty and h-admissible."""
+    if not S or not is_admissible(h, S):
+        raise InadmissibleSetError(f"{S} is not a nonempty h-admissible set")

@@ -29,6 +29,28 @@ def binom(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True)
+class CoeffSeq:
+    """Integer coefficients with an explicit starting index."""
+
+    values: tuple[int, ...]
+    start: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+
+    def __getitem__(self, k: int) -> int:
+        if not self.start <= k < self.start + len(self.values):
+            raise IndexError(k)
+        return self.values[k - self.start]
+
+    def indices(self) -> range:
+        return range(self.start, self.start + len(self.values))
+
+    def to_json(self) -> dict:
+        return {str(k): self[k] for k in self.indices()}
+
+
+@dataclass(frozen=True)
 class BinomialPoly:
     """Sum of terms c * binom(n - s, d), normalized by (d, s)."""
 

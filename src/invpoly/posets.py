@@ -4,80 +4,105 @@ The poset lives on [h(m)].  Pairs of S point downward (i above j) and
 complement pairs within the window point upward; the transitive closure
 of those relations is a partial order exactly when S is admissible.
 
-Height sequences are counted over the lattice of order ideals, held as
-bitmasks, so their cost follows the number of ideals rather than the
-number of linear extensions.  linear_extensions is kept for listing the
-extensions themselves.
+A Poset holds its order as bitmasks only: bit a-1 of below[v-1] is set
+exactly when a < v.  from_relations closes generating relations once,
+with a Warshall pass over the masks; everything else reads them.
+
+Height sequences are counted over the lattice of order ideals, so their
+cost follows the number of ideals rather than the number of linear
+extensions.  linear_extensions is kept for listing the extensions
+themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from invpoly.errors import (
-    InadmissibleSetError,
-    InputError,
-    PosetCycleError,
-    RouteDisagreementError,
-)
+from invpoly.errors import InputError, PosetCycleError, RouteDisagreementError
 from invpoly.model import (
     HSequence,
     PairSet,
     Permutation,
-    is_admissible,
     possible_pairs,
+    require_admissible,
 )
+from invpoly.polynomials import CoeffSeq
+
+
+def _elements(mask: int) -> list[int]:
+    """The elements whose bits are set in mask, in increasing order."""
+    return [w + 1 for w in range(mask.bit_length()) if mask >> w & 1]
 
 
 @dataclass(frozen=True)
 class Poset:
-    """Partial order on 1..ground; relations stored transitively closed."""
+    """Partial order on 1..ground; below[v-1] is the closed mask under v."""
 
     ground: int
-    relations: frozenset[tuple[int, int]]  # (a, b) means a < b in the order
+    below: tuple[int, ...]
 
     def __post_init__(self):
-        for a, b in self.relations:
-            if not (1 <= a <= self.ground and 1 <= b <= self.ground):
-                raise InputError(f"relation ({a},{b}) outside ground set")
-            if a == b:
-                raise PosetCycleError(f"reflexive relation at {a}")
-        closed = transitive_closure(self.ground, self.relations)
-        if closed != self.relations:
-            raise InputError("relations must be given transitively closed")
+        object.__setattr__(self, "below", tuple(self.below))
+        if len(self.below) != self.ground:
+            raise InputError(f"need {self.ground} masks, got {len(self.below)}")
+        for v, low in enumerate(self.below, start=1):
+            if low >> self.ground or low < 0:
+                raise InputError(f"mask of {v} reaches outside the ground set")
+            if low >> (v - 1) & 1:
+                raise PosetCycleError(f"{v} lies below itself")
+            for a in _elements(low):
+                if self.below[a - 1] & ~low:
+                    raise InputError("relations must be given transitively closed")
+
+    def _mask(self, v: int) -> int:
+        if not 1 <= v <= self.ground:
+            raise InputError(f"element {v} outside ground set [{self.ground}]")
+        return self.below[v - 1]
 
     def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.relations
+        self._mask(a)
+        return bool(self._mask(b) >> (a - 1) & 1)
 
     def down_set(self, v: int) -> set[int]:
-        return {a for a, b in self.relations if b == v}
+        return set(_elements(self._mask(v)))
 
     def up_set(self, v: int) -> set[int]:
-        return {b for a, b in self.relations if a == v}
+        self._mask(v)
+        return {b for b, low in enumerate(self.below, start=1) if low >> (v - 1) & 1}
 
     def maximal_elements(self) -> set[int]:
-        return set(range(1, self.ground + 1)) - {
-            a for a, _ in self.relations
-        }
+        under = 0
+        for low in self.below:
+            under |= low
+        return set(_elements(((1 << self.ground) - 1) & ~under))
 
     def cover_relations(self) -> list[tuple[int, int]]:
         covers = []
-        for a, b in sorted(self.relations):
-            if not any(
-                self.less(a, c) and self.less(c, b)
-                for c in range(1, self.ground + 1)
-            ):
-                covers.append((a, b))
-        return covers
+        for b, low in enumerate(self.below, start=1):
+            deep = 0  # everything under something under b
+            for c in _elements(low):
+                deep |= self.below[c - 1]
+            covers.extend((a, b) for a in _elements(low & ~deep))
+        return sorted(covers)
 
     @classmethod
     def from_relations(cls, ground: int, relations) -> "Poset":
-        """Build from generating relations, closing transitively."""
-        closed = transitive_closure(ground, frozenset(relations))
-        for a in range(1, ground + 1):
-            if (a, a) in closed:
-                raise PosetCycleError(f"cycle through element {a}")
-        return cls(ground, closed)
+        """Build from generating relations (a, b), meaning a < b.
+
+        Closes them once: Warshall over the masks, where everything under
+        k joins the mask of every element above k.  A cycle leaves some
+        element below itself, which construction rejects.
+        """
+        below = [0] * ground
+        for a, b in relations:
+            if not (1 <= a <= ground and 1 <= b <= ground):
+                raise InputError(f"relation ({a},{b}) outside ground set")
+            below[b - 1] |= 1 << (a - 1)
+        for k in range(ground):
+            for v in range(ground):
+                if below[v] >> k & 1:
+                    below[v] |= below[k]
+        return cls(ground, tuple(below))
 
     def to_json(self) -> dict:
         return {"n": self.ground, "covers": [[a, b] for a, b in self.cover_relations()]}
@@ -87,33 +112,15 @@ class Poset:
         return cls.from_relations(data["n"], ((a, b) for a, b in data["covers"]))
 
 
-def transitive_closure(
-    ground: int, relations: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    reach = {v: set() for v in range(1, ground + 1)}
-    for a, b in relations:
-        reach[a].add(b)
-    for k in range(1, ground + 1):
-        for a in range(1, ground + 1):
-            if k in reach[a]:
-                reach[a] |= reach[k]
-    return frozenset((a, b) for a, bs in reach.items() for b in bs)
-
-
 def build_poset(h: HSequence, S: PairSet) -> Poset:
     """The order on [h(m)] induced by S and its windowed complement."""
-    if not S or not is_admissible(h, S):
-        raise InadmissibleSetError(f"{S} is not a nonempty admissible set")
+    require_admissible(h, S)
     hm = h.h(S.m())
-    window = possible_pairs(h, hm)
-    gens = []
     s_pairs = set(S.pairs)
-    for i, j in window:
-        if (i, j) in s_pairs:
-            gens.append((j, i))  # i above j
-        else:
-            gens.append((i, j))
-    return Poset.from_relations(hm, gens)
+    return Poset.from_relations(hm, (
+        (j, i) if (i, j) in s_pairs else (i, j)  # i above j for pairs of S
+        for i, j in possible_pairs(h, hm)
+    ))
 
 
 def linear_extensions(P: Poset) -> list[Permutation]:
@@ -124,26 +131,23 @@ def linear_extensions(P: Poset) -> list[Permutation]:
     oracle); counts such as height_sequence come from the order-ideal
     count instead, which never lists an extension.
     """
-    n = P.ground
-    preds = {v: P.down_set(v) for v in range(1, n + 1)}
     out: list[Permutation] = []
-    word: list[int] = []
-    placed: set[int] = set()
-
-    def extend():
-        if len(word) == n:
-            out.append(Permutation(tuple(word)))
-            return
-        for v in range(1, n + 1):
-            if v not in placed and preds[v] <= placed:
-                placed.add(v)
-                word.append(v)
-                extend()
-                word.pop()
-                placed.remove(v)
-
-    extend()
+    _extend(P.below, 0, (), out)
     return out
+
+
+def _extend(below, placed, word, out):
+    """Append to out every extension that starts with word.
+
+    placed is the mask of the elements in word; an element can come next
+    once everything under it is placed.
+    """
+    if len(word) == len(below):
+        out.append(Permutation(word))
+        return
+    for w, low in enumerate(below):
+        if not placed >> w & 1 and low & placed == low:
+            _extend(below, placed | 1 << w, word + (w + 1,), out)
 
 
 def _ideal_counts(lower: list[int], skip: int) -> dict[int, int]:
@@ -181,18 +185,13 @@ def height_sequence(P: Poset, v: int) -> list[int]:
     over the ideals D of size k without v whose union with v is an ideal.
     e' is the same count run in the dual order on the complement of U.
     """
-    if not 1 <= v <= P.ground:
-        raise InputError(f"element {v} outside ground set [{P.ground}]")
-    n = P.ground
-    below = [0] * n
-    above = [0] * n
-    for a, b in P.relations:
-        below[b - 1] |= 1 << (a - 1)
-        above[a - 1] |= 1 << (b - 1)
+    vlow = P._mask(v)
+    n, below = P.ground, P.below
+    above = [sum(1 << u for u, low in enumerate(below) if low >> w & 1)
+             for w in range(n)]
     into = _ideal_counts(below, v - 1)
     out_of = _ideal_counts(above, v - 1)  # keyed by the complement of U
-    vbit, vlow = 1 << (v - 1), below[v - 1]
-    rest = ((1 << n) - 1) ^ vbit
+    rest = ((1 << n) - 1) ^ (1 << (v - 1))
     heights = [0] * n
     for ideal, count in into.items():
         if vlow & ideal == vlow:
@@ -202,12 +201,10 @@ def height_sequence(P: Poset, v: int) -> list[int]:
 
 def height_support_bounds(P: Poset, v: int) -> tuple[int, int]:
     """Support interval of the height sequence: [#down(v), n - #up(v) - 1]."""
-    if not 1 <= v <= P.ground:
-        raise InputError(f"element {v} outside ground set [{P.ground}]")
-    return len(P.down_set(v)), P.ground - len(P.up_set(v)) - 1
+    return P._mask(v).bit_count(), P.ground - len(P.up_set(v)) - 1
 
 
-def b_from_heights(h: HSequence, S: PairSet):
+def b_from_heights(h: HSequence, S: PairSet) -> CoeffSeq:
     """b-coefficients via the height sequence of h(m) in the poset.
 
     Independent of the direct enumeration route: b_k = h_{k-1}(P, h(m)),
@@ -215,8 +212,6 @@ def b_from_heights(h: HSequence, S: PairSet):
     order-ideal count in height_sequence; no permutation is swept and no
     linear extension is listed.
     """
-    from invpoly.expansions import CoeffSeq  # local: avoids an import cycle
-
     m = S.m()
     hm = h.h(m)
     heights = height_sequence(build_poset(h, S), hm)
@@ -230,9 +225,8 @@ def d_S_of(h: HSequence, S: PairSet) -> int:
     (increasing chains to h(m) through complement pairs); the two routes
     must agree.
     """
-    P = build_poset(h, S)
     hm = h.h(S.m())
-    by_poset = len(P.down_set(hm)) + 1
+    by_poset = build_poset(h, S).below[hm - 1].bit_count() + 1
 
     # chain route: walk backwards from h(m) along complement pairs only
     window = possible_pairs(h, hm)

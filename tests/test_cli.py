@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from invpoly import errors, posets
+from invpoly import errors, graded, posets
 from invpoly.cli import main
 
 H2 = '{"prefix":[],"tail_offset":2}'
@@ -155,7 +155,8 @@ class TestExitCodes:
         # an order with no relations: the poset route to d_S then disagrees
         # with the chain route
         monkeypatch.setattr(
-            posets, "build_poset", lambda h, S: posets.Poset(h.h(S.m()), frozenset())
+            posets, "build_poset",
+            lambda h, S: posets.Poset(h.h(S.m()), (0,) * h.h(S.m())),
         )
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "4"])
         assert res.exit_code == 5
@@ -250,6 +251,21 @@ class TestOtherCommands:
     def test_verify_sweep(self, runner):
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
         assert res.exit_code == 0
+
+    def test_verify_does_not_rerun_the_conjecture_sweep(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran verify_conjecture")
+
+        monkeypatch.setattr(graded, "verify_conjecture", refuse)
+        res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
+        assert res.exit_code == 0
+
+    def test_verify_checks_strong_q_log_concavity(self, runner, monkeypatch):
+        # a verdict of False with no offending pair is a route disagreement
+        monkeypatch.setattr(graded, "q_seq_strongly_log_concave", lambda seq: False)
+        res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
+        assert res.exit_code == 5
+        assert res.output.startswith("error: ")
 
     def test_verify_conjecture(self, runner):
         res = runner.invoke(

@@ -136,7 +136,7 @@ class TestDegreeAndConstancy:
         # scan does not
         def star(h, S):
             hm = h.h(S.m())
-            return Poset(hm, frozenset((a, hm) for a in range(1, hm)))
+            return Poset.from_relations(hm, [(a, hm) for a in range(1, hm)])
 
         monkeypatch.setattr(expansions, "build_poset", star)
         with pytest.raises(RouteDisagreementError):
