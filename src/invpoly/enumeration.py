@@ -1,13 +1,17 @@
 """Brute-force oracle over S_n and the constructive permutation sets.
 
-Everything here enumerates exactly.  Grouping S_n by restricted inversion
-set (enumerate_admissible, poincare) is a full sweep over S_n.  Listing
+Everything here is exact.  Grouping S_n by restricted inversion set
+(enumerate_admissible, poincare) is a full sweep over S_n.  Listing
 I_h(S, n) lists, with no dead ends and in lexicographic order, the linear
 extensions of the order that S puts on the positions: over all of S_n for
 the oracle entry points, and for the larger windows needed by the
 coefficient sets only the words that increase after the maximum descent,
 as every member of the target set does.  The kernels themselves are in
 invpoly.kernels.
+
+a_counts lists nothing: it counts the a-window m+h(m)-1 over the order
+ideals of that same order (posets.ideal_step), and never calls a kernel.
+A_star_set still lists the window, and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from invpoly.model import (
     possible_pairs,
 )
 from invpoly.polynomials import QPoly
+from invpoly.posets import ideal_step
 
 
 def _check_bound(n: int) -> None:
@@ -121,15 +126,57 @@ def b_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
 
 
 def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
-    """Sizes of A*_k for k = 0 .. m, in one sweep of the window m+h(m)-1."""
+    """Sizes of A*_k for k = 0 .. m, counted over order ideals.
+
+    The members of I_h(S, n), n = m + h(m) - 1, are the linear extensions
+    of an order on the positions: for each window pair (i, j), j below i
+    if (i, j) is in S and i below j otherwise.  m is the last descent, so
+    no pair (p, p+1) with p > m is in S, and m+1 < m+2 < ... < n follows.
+    Giving the values 1, 2, ... in turn, a word lies in A*_k exactly when
+    the values h(m) .. h(m)+k-1 go to the k head positions (1 .. m) left
+    empty by the values below h(m), and the rest fill the suffix in order.
+    So a_k sums, over the ideals D reached after h(m)-1 values with k head
+    positions empty, e(D) times the head-only paths from D to D + head,
+    where the suffix can then be completed.  An order with a cycle, or an
+    S that leaks out of the window, completes nothing and counts zero.
+    Nothing is listed: the cost follows the ideals, at most 2^m h(m).
+    """
     m = S.m()
     hm = h.h(m)
+    n = m + hm - 1
     counts = [0] * (m + 1)
-    for pi in enumerate_Ih_structured(h, S, m + hm - 1):
-        high = sorted(v for v in pi.word[:m] if v >= hm)
-        if high == list(range(hm, hm + len(high))):
-            counts[len(high)] += 1
+    s_pairs = set(S.pairs)
+    lower = [0] * n  # lower[p]: positions whose entries must be below p's
+    inside = 0
+    for i, j in possible_pairs(h, n):
+        if (i, j) in s_pairs:
+            lower[i - 1] |= 1 << (j - 1)
+            inside += 1
+        else:
+            lower[j - 1] |= 1 << (i - 1)
+    if inside < len(s_pairs):
+        return tuple(counts)
+    steps = [(1 << p, low) for p, low in enumerate(lower)]
+    layer = {0: 1}
+    for _ in range(hm - 1):
+        layer = ideal_step(layer, steps)
+    head, head_steps = (1 << m) - 1, steps[:m]
+    while layer:
+        for ideal, count in layer.items():
+            if ideal & head == head and _completes(ideal, lower, m):
+                counts[ideal.bit_count() - (hm - 1)] += count
+        layer = ideal_step(layer, head_steps)
     return tuple(counts)
+
+
+def _completes(ideal: int, lower: list[int], m: int) -> bool:
+    """Whether the empty suffix positions of ideal fill in order."""
+    for p in range(m, len(lower)):
+        if not ideal >> p & 1:
+            if lower[p] & ~ideal:
+                return False
+            ideal |= 1 << p
+    return True
 
 
 def A_star_set(h: HSequence, S: PairSet, k: int) -> list[Permutation]:

@@ -90,7 +90,11 @@ def b_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
 
 
 def a_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
-    """a_k = #A*_k over the window m + h(m) - 1, for k = 0 .. m."""
+    """a_k = #A*_k over the window m + h(m) - 1, for k = 0 .. m.
+
+    The counts come from enumeration.a_counts, an order-ideal count that
+    lists no permutation of the window.
+    """
     if not S:
         return _empty_result("a")
     require_admissible(h, S)

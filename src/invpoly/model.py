@@ -9,6 +9,7 @@ permutations, i.e. inversions (i, j) with j <= h(i).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -215,8 +216,13 @@ class PairSet:
         return "{" + inner + "}"
 
 
+@functools.lru_cache(maxsize=256)
 def possible_pairs(h: HSequence, n: int) -> PairSet:
-    """All pairs (i, j) with i < j <= min(n, h(i)): the window of P_h."""
+    """All pairs (i, j) with i < j <= min(n, h(i)): the window of P_h.
+
+    Cached: every route asks for the same few windows over and over, and
+    h and the result are immutable.
+    """
     if n < 1:
         raise InputError(f"window must be positive, got {n}")
     return PairSet(

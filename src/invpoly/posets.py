@@ -10,12 +10,13 @@ with a Warshall pass over the masks; everything else reads them.
 
 Height sequences are counted over the lattice of order ideals, so their
 cost follows the number of ideals rather than the number of linear
-extensions.  linear_extensions is kept for listing the extensions
-themselves.
+extensions; enumeration.a_counts runs the same layered step, ideal_step.
+linear_extensions is kept for listing the extensions themselves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from invpoly.errors import InputError, PosetCycleError, RouteDisagreementError
@@ -112,8 +113,14 @@ class Poset:
         return cls.from_relations(data["n"], ((a, b) for a, b in data["covers"]))
 
 
+@functools.lru_cache(maxsize=16)
 def build_poset(h: HSequence, S: PairSet) -> Poset:
-    """The order on [h(m)] induced by S and its windowed complement."""
+    """The order on [h(m)] induced by S and its windowed complement.
+
+    Cached: b_from_heights, d_S_of and is_constant each ask for the poset
+    of the set in hand, one after another.  The cache is kept small, as
+    it only has to serve those repeats.
+    """
     require_admissible(h, S)
     hm = h.h(S.m())
     s_pairs = set(S.pairs)
@@ -150,6 +157,23 @@ def _extend(below, placed, word, out):
             _extend(below, placed | 1 << w, word + (w + 1,), out)
 
 
+def ideal_step(layer: dict[int, int], steps) -> dict[int, int]:
+    """The next layer of the lattice of order ideals, with path counts.
+
+    layer maps ideals of one size, as bitmasks, to their number of ways;
+    steps lists (bit, low) for each element allowed to join, where low is
+    the bitmask of the elements that must come before it.  Every ideal
+    passes its count to each ideal one allowed element larger.
+    """
+    nxt: dict[int, int] = {}
+    for ideal, count in layer.items():
+        for bit, low in steps:
+            if not ideal & bit and low & ideal == low:
+                grown = ideal | bit
+                nxt[grown] = nxt.get(grown, 0) + count
+    return nxt
+
+
 def _ideal_counts(lower: list[int], skip: int) -> dict[int, int]:
     """Ideal -> number of ways to build it one element at a time.
 
@@ -162,14 +186,8 @@ def _ideal_counts(lower: list[int], skip: int) -> dict[int, int]:
     layer = {0: 1}
     counts = dict(layer)
     while layer:
-        nxt: dict[int, int] = {}
-        for ideal, count in layer.items():
-            for bit, low in steps:
-                if not ideal & bit and low & ideal == low:
-                    grown = ideal | bit
-                    nxt[grown] = nxt.get(grown, 0) + count
-        counts.update(nxt)
-        layer = nxt
+        layer = ideal_step(layer, steps)
+        counts.update(layer)
     return counts
 
 

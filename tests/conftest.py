@@ -1,4 +1,4 @@
-from invpoly import HSequence
+from invpoly import HSequence, Permutation, inv_h
 
 # The sweep corpus: the h family exercised by every cross-checking suite.
 CORPUS_H = [
@@ -9,3 +9,19 @@ CORPUS_H = [
     HSequence((3, 4, 6, 7, 7), 1),
     HSequence((5, 5, 6, 6), 1),
 ]
+
+# The h of the windows beyond an S_n sweep, drawn from with draw().
+HS = [HSequence((), 2), HSequence((), 3), HSequence((5, 5, 6, 6), 1)]
+H_IDS = ["tail2", "tail3", "prefix-5566"]
+
+
+def draw(h, hm, rng):
+    """A random word of [hm] with its last descent at the m where h(m) = hm,
+    and its restricted inversion set S, so that h(m(S)) = hm."""
+    m = rng.choice([m for m in range(1, hm) if h.h(m) == hm])
+    while True:
+        head = rng.sample(range(1, hm + 1), m)
+        rest = sorted(set(range(1, hm + 1)).difference(head))
+        if head[-1] > rest[0]:
+            word = tuple(head + rest)
+            return word, m, inv_h(h, Permutation(word))

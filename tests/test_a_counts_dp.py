@@ -1,0 +1,100 @@
+"""The order-ideal count of the a-coefficients against the listings.
+
+enumeration.a_counts counts A*_k without listing the window m+h(m)-1.
+Here it is checked against a sweep of that window through the sorted-suffix
+lister, against the b route (which lists only the window h(m)) converted
+by a_from_b, and against A_star_set; and it is run with every lister
+disabled, at a window no listing could finish.
+"""
+
+import json
+import random
+
+import pytest
+from click.testing import CliRunner
+
+from invpoly import (
+    A_star_set,
+    HSequence,
+    PairSet,
+    a_expansion,
+    a_from_b,
+    enumerate_admissible,
+    enumeration,
+    kernels,
+)
+from invpoly.cli import main
+from invpoly.enumeration import a_counts, b_counts, enumerate_Ih_structured
+from invpoly.polynomials import CoeffSeq
+
+from conftest import CORPUS_H, H_IDS, HS, draw
+
+
+def listed_a_counts(h, S):
+    """Sizes of A*_k for k = 0 .. m, in one sweep of the window m+h(m)-1."""
+    m = S.m()
+    hm = h.h(m)
+    counts = [0] * (m + 1)
+    for pi in enumerate_Ih_structured(h, S, m + hm - 1):
+        high = sorted(v for v in pi.word[:m] if v >= hm)
+        if high == list(range(hm, hm + len(high))):
+            counts[len(high)] += 1
+    return tuple(counts)
+
+
+def test_equals_the_window_sweep_on_the_corpus():
+    checked = 0
+    for h in CORPUS_H:
+        for S in enumerate_admissible(h, 6):
+            if S:
+                assert a_counts(h, S) == listed_a_counts(h, S), (h, S)
+                checked += 1
+    assert checked == 1316
+
+
+@pytest.mark.parametrize("hm", [10, 11, 12])
+@pytest.mark.parametrize("h", HS, ids=H_IDS)
+def test_equals_the_b_route_beyond_the_sweep(h, hm):
+    rng = random.Random(f"{h!r} {hm}")
+    for _ in range(3):
+        _, m, S = draw(h, hm, rng)
+        b = CoeffSeq(b_counts(h, S), hm - m)
+        assert a_counts(h, S) == a_from_b(b, m, hm).values
+
+
+@pytest.mark.parametrize("tail,pairs", [
+    (2, [(1, 2), (2, 3)]),  # pi1 > pi2 > pi3 > pi1: a cycle in the head
+    (2, [(1, 2), (1, 9)]),  # (1, 9) lies outside the window of m = 1
+    # (6, 8) inverts the suffix after m = 3: positions 1 .. 5 take the
+    # values 1 .. 5, filling the head, and then 6, 7, 8 cannot be filled
+    (3, [(3, 4), (6, 8)]),
+])
+def test_inadmissible_sets_count_zero_like_the_sweep(tail, pairs):
+    h, S = HSequence((), tail), PairSet(pairs)
+    assert a_counts(h, S) == listed_a_counts(h, S) == (0,) * (S.m() + 1)
+
+
+def test_equals_the_listed_A_star_sets():
+    h, S = HSequence((), 2), PairSet([(1, 3), (2, 3), (2, 4)])
+    assert a_counts(h, S) == tuple(len(A_star_set(h, S, k)) for k in range(3))
+
+
+def test_lists_nothing(monkeypatch):
+    # m = 9, so the a-window is S_20 words increasing after position 9
+    h = HSequence((), 3)
+    _, m, S = draw(h, 12, random.Random("no listing"))
+    want = a_from_b(CoeffSeq(b_counts(h, S), 12 - m), m, 12)
+
+    def listing(*args):
+        raise AssertionError("the a route listed a window")
+
+    monkeypatch.setattr(kernels, "matching_perms_sorted_suffix", listing)
+    monkeypatch.setattr(kernels, "matching_perms", listing)
+    monkeypatch.setattr(enumeration, "enumerate_Ih_structured", listing)
+    assert a_expansion(h, S).coeffs == want
+    res = CliRunner().invoke(main, [
+        "expand", "--h", json.dumps(h.to_json()), "--s",
+        json.dumps(S.to_json()), "--basis", "a", "--json-out",
+    ])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["coeffs"] == want.to_json()

@@ -12,20 +12,7 @@ import pytest
 from invpoly import HSequence, Permutation, inv_h, kernels, possible_pairs
 from invpoly.posets import build_poset, height_sequence
 
-HS = [HSequence((), 2), HSequence((), 3), HSequence((5, 5, 6, 6), 1)]
-H_IDS = ["tail2", "tail3", "prefix-5566"]
-
-
-def draw(h, hm, rng):
-    """A random word of [hm] with its last descent at the m where h(m) = hm,
-    and its restricted inversion set S, so that h(m(S)) = hm."""
-    m = rng.choice([m for m in range(1, hm) if h.h(m) == hm])
-    while True:
-        head = rng.sample(range(1, hm + 1), m)
-        rest = sorted(set(range(1, hm + 1)).difference(head))
-        if head[-1] > rest[0]:
-            word = tuple(head + rest)
-            return word, m, inv_h(h, Permutation(word))
+from conftest import H_IDS, HS, draw
 
 
 @pytest.mark.parametrize("hm", [10, 11, 12])
