@@ -4,9 +4,9 @@ Everything here is exact.  Grouping S_n by restricted inversion set
 (enumerate_admissible, poincare) is a full sweep over S_n.  Listing
 I_h(S, n) lists, with no dead ends and in lexicographic order, the linear
 extensions of the order that S puts on the positions: over all of S_n for
-the oracle entry points, and for the larger windows needed by the
-coefficient sets only the words that increase after the maximum descent,
-as every member of the target set does.  The kernels themselves are in
+the oracle entry points, and for the fiber base points and coefficient
+sets only the words that increase after the maximum descent, as every
+member of the target set does.  The kernels themselves are in
 invpoly.kernels.
 
 a_counts lists nothing: it counts the a-window m+h(m)-1 over the order
@@ -41,14 +41,9 @@ def _check_bound(n: int) -> None:
 
 def _mask_of(S: PairSet, window: tuple[tuple[int, int], ...]) -> int | None:
     """Bitmask of S relative to the candidate-pair window; None if S leaks."""
-    index = {p: b for b, p in enumerate(window)}
-    mask = 0
-    for p in S:
-        b = index.get(p)
-        if b is None:
-            return None
-        mask |= 1 << b
-    return mask
+    s_pairs = set(S.pairs)
+    mask = sum(1 << b for b, p in enumerate(window) if p in s_pairs)
+    return mask if mask.bit_count() == len(s_pairs) else None
 
 
 def _unmask(mask: int, window: tuple[tuple[int, int], ...]) -> PairSet:
@@ -94,11 +89,11 @@ class FiberDatum:
 
 
 def fiber_data(h: HSequence, S: PairSet) -> list[FiberDatum]:
-    """One datum per element of I_h(S, j(S)): the base point and its t-value."""
-    j = S.j()
+    """One datum per element of I_h(S, j(S)), S nonempty and admissible:
+    the base point and its t-value.  Listed with no brute-force cap."""
     return [
         FiberDatum(sigma, t_of(sigma, h, S))
-        for sigma in enumerate_Ih(h, S, j)
+        for sigma in enumerate_Ih_structured(h, S, S.j())
     ]
 
 

@@ -177,12 +177,6 @@ class PairSet:
     def __hash__(self) -> int:
         return hash(self.pairs)
 
-    def __le__(self, other: "PairSet") -> bool:
-        return set(self.pairs) <= set(other.pairs)
-
-    def minus(self, other: "PairSet") -> "PairSet":
-        return PairSet(set(self.pairs) - set(other.pairs))
-
     def j(self) -> int:
         """Largest second index appearing in any pair."""
         if not self.pairs:
@@ -263,21 +257,24 @@ def is_h_closed(h: HSequence, pairs: PairSet, window: int) -> bool:
 def is_admissible(h: HSequence, S: PairSet) -> bool:
     """Whether S is the restricted inversion set of some permutation.
 
-    Characterized by closure of S and of its complement within the
-    possible pairs.  The complement is taken in the window [j(S)]; pairs
-    with a larger second index can never interact with S, so widening the
-    window cannot change the answer (exercised by the test suite against
-    window j(S) + 2).
+    That is, S and its complement are both closed within the possible
+    pairs of the window [j(S)] (a wider window changes nothing; the tests
+    check j(S) + 2).  One pass checks both closures: h is weakly
+    increasing, so (i, j) and (j, k) are possible whenever (i, k) is, and
+    then (i, j) and (j, k) both in S, or both outside, put (i, k) there too.
     """
     if not S:
         return True
-    window = S.j()
-    P = possible_pairs(h, window)
-    if not S <= P:
+    s = set(S.pairs)
+    if any(j > h.h(i) for i, j in s):
         return False
-    if not is_h_closed(h, S, window):
-        return False
-    return is_h_closed(h, P.minus(S), window)
+    for i, k in possible_pairs(h, S.j()):
+        ik = (i, k) in s
+        for j in range(i + 1, k):
+            inside = (i, j) in s
+            if inside == ((j, k) in s) and inside != ik:
+                return False
+    return True
 
 
 def require_admissible(h: HSequence, S: PairSet) -> None:

@@ -3,8 +3,8 @@
 Binomial coefficients use the polynomial convention
 binom(x, d) = x(x-1)...(x-d+1)/d!, defined for every integer x, so that
 expressions like binom(n-s, d) evaluate correctly below their support.
-Everything here is arbitrary-precision integer or Fraction arithmetic;
-no floats.
+Everything here is arbitrary-precision integer arithmetic on coefficient
+tuples; Fraction appears only in MonomialPoly.  No floats.
 """
 
 from __future__ import annotations
@@ -74,21 +74,19 @@ class BinomialPoly:
         return BinomialPoly(self.terms + other.terms)
 
     def to_monomial(self) -> "MonomialPoly":
-        """Exact conversion to the monomial basis in n."""
-        total: list[Fraction] = []
+        """Exact conversion to the monomial basis in n, expanded in
+        integers over top! (top the largest degree)."""
+        top = max((d for _, _, d in self.terms), default=0)
+        den = math.factorial(top)
+        total = [0] * (top + 1)
         for c, s, d in self.terms:
-            # expand c/d! * (n-s)(n-s-1)...(n-s-d+1)
-            poly = [Fraction(c, math.factorial(d))]
-            for t in range(d):
-                root = s + t
-                poly = [Fraction(0)] + poly
-                for p in range(len(poly) - 1):
-                    poly[p] -= root * poly[p + 1]
-            if len(total) < len(poly):
-                total += [Fraction(0)] * (len(poly) - len(total))
+            # c * top!/d! * (n-s)(n-s-1)...(n-s-d+1)
+            poly = (c * (den // math.factorial(d)),)
+            for root in range(s, s + d):
+                poly = _convolve(poly, (-root, 1))
             for p, coef in enumerate(poly):
                 total[p] += coef
-        return MonomialPoly(tuple(total))
+        return MonomialPoly(tuple(Fraction(t, den) for t in total))
 
     def to_json(self) -> dict:
         return {"terms": [{"c": c, "s": s, "d": d} for c, s, d in self.terms]}
@@ -172,6 +170,16 @@ def _convolve(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _add(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients of the sum of two coefficient sequences."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    out = list(xs)
+    for p, c in enumerate(ys):
+        out[p] += c
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class QPoly:
     """Dense exact-integer polynomial in q (also used for the Poincare t)."""
@@ -211,13 +219,7 @@ class QPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for p, c in enumerate(b):
-            out[p] += c
-        return QPoly(tuple(out))
+        return QPoly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + QPoly(tuple(-c for c in other.coeffs))
@@ -256,20 +258,19 @@ class QPoly:
 def q_binom(n: int, k: int) -> QPoly:
     """Gaussian binomial via the Pascal recurrence [n,k] = [n-1,k-1] + q^k [n-1,k].
 
-    Division-free and exact; the subset-length model of q_binom_subset_model
+    Division-free and exact: one row of coefficient tuples, updated in
+    place from the right.  The subset-length model of q_binom_subset_model
     is the independent cross-check.
     """
     if k < 0 or k > n:
         return QPoly.zero()
-    row = [QPoly.one()]  # row for n' = 0
+    row = [(1,)]  # row[i] = [n', i] for i = 0 .. min(n', k), from n' = 0
     for np in range(1, n + 1):
-        new = [QPoly.one()]
-        for kp in range(1, min(np, k) + 1):
-            left = row[kp - 1]
-            right = row[kp] if kp < np else QPoly.zero()
-            new.append(left + QPoly.monomial(kp) * right)
-        row = new
-    return row[k]
+        for i in range(min(np - 1, k), 0, -1):
+            row[i] = _add(row[i - 1], (0,) * i + row[i])
+        if np <= k:
+            row.append((1,))
+    return QPoly(row[k])
 
 
 def subset_length(A: Iterable[int], lo: int, hi: int) -> int:

@@ -3,7 +3,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from invpoly import errors, graded, posets
+from invpoly import (
+    HSequence,
+    PairSet,
+    b_expansion,
+    errors,
+    fiber_expansion,
+    graded,
+    posets,
+)
 from invpoly.cli import main
 
 H2 = '{"prefix":[],"tail_offset":2}'
@@ -53,6 +61,30 @@ class TestEval:
         res = runner.invoke(main, ["eval", "--json", str(spec)])
         assert res.exit_code == 0
         assert "brute force: 2" in res.output
+
+    def test_fiber_route_above_the_brute_force_cap(self, runner, monkeypatch):
+        # j(S) = 12 is above the default cap of 10
+        monkeypatch.delenv("INVPOLY_MAX_N", raising=False)
+        h, S = HSequence((), 2), PairSet([(10, 11), (10, 12)])
+        assert (
+            fiber_expansion(h, S).poly.to_monomial()
+            == b_expansion(h, S).poly.to_monomial()
+        )
+        s = "[[10,11],[10,12]]"
+        res = runner.invoke(
+            main, ["eval", "--h", H2, "--s", s, "--n", "12", "--json-out"]
+        )
+        assert res.exit_code == 0, res.output
+        methods = json.loads(res.output)["methods"]
+        assert "brute_force" not in methods
+        assert {methods[b]["value"] for b in ("fiber", "b", "a")} == {1}
+        res = runner.invoke(
+            main, ["expand", "--h", H2, "--s", s, "--basis", "fiber", "--json-out"]
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["monomial"] == {
+            "num": [-11, 1], "den": [1, 1]
+        }
 
 
 class TestExitCodes:

@@ -55,10 +55,36 @@ class TestBinomialPoly:
         assert p.to_monomial().coeffs == (Fraction(-15), Fraction(3))
 
     def test_to_monomial_agrees_with_eval(self):
-        p = BinomialPoly(((2, 3, 1), (1, 3, 2), (5, 1, 3)))
-        mono = p.to_monomial()
-        for n in range(-5, 15):
-            assert mono(n) == p(n)
+        def reference(p):
+            # each term c/d! * (n-s)...(n-s-d+1) expanded in Fractions
+            total = []
+            for c, s, d in p.terms:
+                poly = [Fraction(c, math.factorial(d))]
+                for root in range(s, s + d):
+                    poly = [Fraction(0)] + poly
+                    for k in range(len(poly) - 1):
+                        poly[k] -= root * poly[k + 1]
+                total += [Fraction(0)] * (len(poly) - len(total))
+                for k, coef in enumerate(poly):
+                    total[k] += coef
+            return MonomialPoly(tuple(total))
+
+        rng = random.Random(17)
+        polys = [
+            BinomialPoly(()),
+            BinomialPoly(((2, 3, 1), (1, 3, 2), (5, 1, 3))),
+            BinomialPoly(((1, -4, 8), (-3, -1, 5), (1, -4, 8), (2, 6, 0))),
+        ]
+        for _ in range(200):
+            polys.append(BinomialPoly(tuple(
+                (rng.randint(-9, 9), rng.randint(-6, 9), rng.randint(0, 8))
+                for _ in range(rng.randint(0, 6))
+            )))
+        for p in polys:
+            mono = p.to_monomial()
+            assert mono == reference(p), p
+            for n in range(-5, 15):
+                assert mono(n) == p(n), (p, n)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(InputError):
