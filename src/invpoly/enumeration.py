@@ -1,13 +1,16 @@
 """Brute-force oracle over S_n and the constructive permutation sets.
 
 Everything here is exact.  Grouping S_n by restricted inversion set
-(enumerate_admissible, poincare) is a full sweep over S_n.  Listing
-I_h(S, n) lists, with no dead ends and in lexicographic order, the linear
-extensions of the order that S puts on the positions: over all of S_n for
-the oracle entry points, and for the fiber base points and coefficient
-sets only the words that increase after the maximum descent, as every
-member of the target set does.  The kernels themselves are in
-invpoly.kernels.
+(enumerate_admissible, poincare) is a full sweep over S_n: the kernel
+counts every permutation once, by direct comparisons, and only shares
+the work on its last four positions among prefixes whose entries rank
+alike among the leftover values.  Each class becomes a PairSet read
+straight off the bits of its mask.  Listing I_h(S, n) lists, with no
+dead ends and in lexicographic order, the linear extensions of the order
+that S puts on the positions: over all of S_n for the oracle entry
+points, and for the fiber base points and coefficient sets only the
+words that increase after the maximum descent, as every member of the
+target set does.  The kernels themselves are in invpoly.kernels.
 
 a_counts lists nothing: it counts the a-window m+h(m)-1 over the order
 ideals of that same order (posets.ideal_step), and never calls a kernel.
@@ -47,7 +50,11 @@ def _mask_of(S: PairSet, window: tuple[tuple[int, int], ...]) -> int | None:
 
 
 def _unmask(mask: int, window: tuple[tuple[int, int], ...]) -> PairSet:
-    return PairSet(p for b, p in enumerate(window) if mask >> b & 1)
+    """The pairs of window that mask selects.  window is sorted and unique,
+    so they come out in order and need no validation."""
+    return PairSet._from_sorted(
+        tuple([p for b, p in enumerate(window) if mask >> b & 1])
+    )
 
 
 def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:

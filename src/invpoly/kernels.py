@@ -4,27 +4,93 @@ Each kernel classifies permutations of [n] by which of the supplied
 candidate pairs (i, j), i < j, are inversions.  The classification is a
 bitmask over the pair list, held in a Python int so that any number of
 pairs fits, and callers compare sets with integer equality.
+
 Grouping (admissible_counts) is the full sweep over S_n and stays the
-honest oracle.  Matching lists the permutations with a given mask
-exactly, as the linear extensions of the order that the mask puts on the
-positions (_match): a mask whose order has a cycle is rejected before any
-search, and otherwise every branch of the search ends in a match.  The
-matches come out sorted.
+honest oracle.  It splits each permutation into a prefix and a suffix of
+the last four entries, walks the prefixes once, and tabulates the suffix
+arrangements once for each pattern of ranks that the prefix entries take
+among the values left for the suffix.  Every permutation is still
+exactly one (prefix, suffix arrangement) pair, and its mask still comes
+from direct comparisons: the split only shares the suffix work among
+prefixes that look alike to it.  Nothing outlives the call, so a
+repeated call sweeps again.
+
+Matching lists the permutations with a given mask exactly, as the linear
+extensions of the order that the mask puts on the positions (_match): a
+mask whose order has a cycle is rejected before any search, and
+otherwise every branch of the search ends in a match.  The matches come
+out sorted.
 """
 
 import itertools
 
 
+_SUFFIX = 4  # length r of the suffix that admissible_counts tabulates
+
+
 def admissible_counts(n, pairs):
-    """Map inversion-bitmask -> number of permutations of [n] attaining it."""
-    idx = [(i - 1, j - 1, 1 << b) for b, (i, j) in enumerate(pairs)]
-    counts = {}
-    for perm in itertools.permutations(range(1, n + 1)):
+    """Map inversion-bitmask -> number of permutations of [n] attaining it.
+
+    A full sweep of S_n, split at position k = n - r, r = min(_SUFFIX, n).
+    Each prefix (the first k entries) is classified by its mask over the
+    pairs inside it and by the boundary ranks: for each prefix position
+    paired with a suffix position, the number of values left for the
+    suffix that lie below its entry.  The entry at i exceeds the suffix
+    entry of rank t exactly when that number exceeds t, so a rank tuple
+    fixes, for each of the r! arrangements of the suffix, the mask of
+    every pair that reaches the suffix.  Those r! masks are built once per
+    rank tuple seen, and each (prefix class, suffix mask) pair adds the
+    product of their counts.  The counts sum to n!.
+    """
+    r = min(_SUFFIX, n)
+    k = n - r
+    head, cross, tail = [], [], []
+    for b, (i, j) in enumerate(pairs):
+        if j <= k:
+            head.append((i - 1, j - 1, 1 << b))
+        elif i <= k:
+            cross.append((i - 1, j - 1 - k, 1 << b))
+        else:
+            tail.append((i - 1 - k, j - 1 - k, 1 << b))
+    boundary = sorted({i for i, _, _ in cross})
+    slot = {p: s for s, p in enumerate(boundary)}
+    cross = [(slot[i], j, bit) for i, j, bit in cross]
+
+    everything = (1 << (n + 1)) - 2  # bit v set for each value v of [n]
+    prefixes = {}
+    for prefix in itertools.permutations(range(1, n + 1), k):
         mask = 0
-        for a, b, bit in idx:
-            if perm[a] > perm[b]:
+        for a, b, bit in head:
+            if prefix[a] > prefix[b]:
                 mask |= bit
-        counts[mask] = counts.get(mask, 0) + 1
+        rest = everything  # the values left for the suffix
+        for v in prefix:
+            rest ^= 1 << v
+        ranks = tuple((rest & ((1 << prefix[p]) - 1)).bit_count() for p in boundary)
+        key = (mask, ranks)
+        prefixes[key] = prefixes.get(key, 0) + 1
+
+    arrangements = []
+    for word in itertools.permutations(range(r)):
+        mask = 0
+        for a, b, bit in tail:
+            if word[a] > word[b]:
+                mask |= bit
+        arrangements.append((word, mask))
+    tables = {}  # boundary ranks -> {suffix mask: arrangements}
+    counts = {}
+    for (prefix_mask, ranks), c in prefixes.items():
+        table = tables.get(ranks)
+        if table is None:
+            table = tables[ranks] = {}
+            for word, mask in arrangements:
+                for s, j, bit in cross:
+                    if ranks[s] > word[j]:
+                        mask |= bit
+                table[mask] = table.get(mask, 0) + 1
+        for suffix_mask, d in table.items():
+            mask = prefix_mask | suffix_mask
+            counts[mask] = counts.get(mask, 0) + c * d
     return counts
 
 

@@ -153,6 +153,15 @@ class PairSet:
             seen.add((i, j))
         object.__setattr__(self, "pairs", tuple(sorted(seen)))
 
+    @classmethod
+    def _from_sorted(cls, pairs: tuple[tuple[int, int], ...]) -> "PairSet":
+        """Wrap a tuple of pairs that is already valid, sorted and unique,
+        without checking it: for pairs picked from a window in order.
+        Input from outside goes through __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "pairs", pairs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("PairSet is immutable")
 

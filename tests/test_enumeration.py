@@ -140,6 +140,18 @@ class TestAdmissibleGrouping:
         }
         assert got == expect
 
+    def test_classes_equal_validated_pair_sets(self):
+        # the classes are built unchecked from the window; they must equal,
+        # hash and pickle like sets built through PairSet(...)
+        import pickle
+
+        for S in enumerate_admissible(H3, 6):
+            rebuilt = PairSet(reversed(S.pairs))
+            assert S == rebuilt and hash(S) == hash(rebuilt)
+            assert type(S.pairs) is tuple and S.pairs == rebuilt.pairs
+            copy = pickle.loads(pickle.dumps(S))
+            assert copy == S and hash(copy) == hash(S)
+
 
 class TestPoincare:
     def test_tail1_n3(self):

@@ -1,16 +1,19 @@
-"""Parity of the matching kernels with a plain S_n sweep.
+"""Parity of the kernels with a plain S_n sweep.
 
-The sweep below is written out here, independent of invpoly's kernels,
-and compared with exact list equality, so the lexicographic output order
-is pinned too.
+The sweeps below are written out here, independent of invpoly's kernels.
+Matching is compared with exact list equality, so the lexicographic
+output order is pinned too; grouping is compared with exact dict
+equality.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from invpoly import HSequence, possible_pairs
+from conftest import CORPUS_H
+from invpoly import HSequence, poincare, possible_pairs
 from invpoly import kernels
 
 WINDOWS = [
@@ -36,6 +39,24 @@ def sweep(n, m, pairs):
                 mask |= 1 << b
         groups.setdefault(mask, []).append(perm)
     return groups
+
+
+def grouping(n, pairs):
+    """Inversion bitmask -> number of permutations of [n] with that mask,
+    testing every pair on every permutation."""
+    idx = [(i - 1, j - 1, 1 << b) for b, (i, j) in enumerate(pairs)]
+    counts = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        mask = 0
+        for a, b, bit in idx:
+            if perm[a] > perm[b]:
+                mask |= bit
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts
+
+
+def complete(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def masks(n, pairs):
@@ -80,3 +101,83 @@ def test_more_pairs_than_a_machine_word():
     assert len(pairs) > 64
     got = kernels.matching_perms_sorted_suffix(n, 0, pairs, 0)
     assert got == [tuple(range(1, n + 1))]
+
+
+@pytest.mark.parametrize("h, n", WINDOWS, ids=WINDOW_IDS)
+def test_admissible_counts_windows(h, n):
+    pairs = possible_pairs(h, n).pairs
+    assert kernels.admissible_counts(n, pairs) == grouping(n, pairs)
+
+
+def h_id(h):
+    return f"prefix-{''.join(map(str, h.prefix))}" if h.prefix else f"tail{h.tail_offset}"
+
+
+@pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+def test_admissible_counts_corpus(h):
+    for n in range(1, 9):
+        pairs = possible_pairs(h, n).pairs
+        assert kernels.admissible_counts(n, pairs) == grouping(n, pairs), n
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_admissible_counts_short_words(n):
+    # n < 4: the whole word is the suffix; n = 4, 5: the prefix is empty
+    # or a single entry
+    for pairs in (complete(n), complete(n)[::2], [(1, n)] if n > 1 else []):
+        assert kernels.admissible_counts(n, pairs) == grouping(n, pairs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_admissible_counts_no_pairs(n):
+    assert kernels.admissible_counts(n, []) == {0: math.factorial(n)}
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 7), (6, 7)])
+def test_admissible_counts_one_pair(pair):
+    half = math.factorial(7) // 2
+    assert kernels.admissible_counts(7, [pair]) == {0: half, 1: half}
+
+
+def test_admissible_counts_complete_s7():
+    # every pair: the mask is the inversion set, so each class is one word
+    pairs = complete(7)
+    got = kernels.admissible_counts(7, pairs)
+    assert got == grouping(7, pairs)
+    assert len(got) == math.factorial(7) and set(got.values()) == {1}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_admissible_counts_random_pairs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(6, 8)
+    far = rng.choice([(i, j) for i, j in complete(n) if j - i > 3])
+    pairs = rng.sample([p for p in complete(n) if p != far], rng.randint(1, 12))
+    pairs.insert(rng.randint(0, len(pairs)), far)
+    assert kernels.admissible_counts(n, pairs) == grouping(n, pairs)
+
+
+def eulerian(n):
+    """A(n, d) for d = 0 .. n-1: permutations of [n] with d descents."""
+    row = [1]
+    for k in range(2, n + 1):
+        row = [(d + 1) * (row[d] if d < len(row) else 0)
+               + (k - d) * (row[d - 1] if d else 0) for d in range(k)]
+    return row
+
+
+@pytest.mark.parametrize("h", [HSequence((), 1), HSequence((3, 4, 6, 7, 7), 1)],
+                         ids=["tail1", "prefix-34677"])
+def test_admissible_counts_n9_invariants(h):
+    n = 9
+    counts = kernels.admissible_counts(n, possible_pairs(h, n).pairs)
+    assert sum(counts.values()) == math.factorial(n)
+    coeffs = [0] * (2 * max(mask.bit_count() for mask in counts) + 1)
+    for mask, c in counts.items():
+        coeffs[2 * mask.bit_count()] += c
+    assert list(poincare(h, n).coeffs) == coeffs
+    # Poincare duality: the Hessenberg variety is smooth and projective
+    assert coeffs == coeffs[::-1]
+    if h == HSequence((), 1):
+        # h-inversions are descents
+        assert coeffs[::2] == eulerian(n)
