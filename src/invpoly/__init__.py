@@ -13,6 +13,7 @@ from invpoly.enumeration import (
     enumerate_admissible,
     fiber_data,
     graded_Ih_oracle,
+    graded_admissible,
     poincare,
     t_of,
 )

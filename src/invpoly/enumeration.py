@@ -1,13 +1,15 @@
 """Brute-force oracle over S_n and the constructive permutation sets.
 
 Everything here is exact.  Grouping S_n by restricted inversion set
-(enumerate_admissible, poincare) is a full sweep over S_n: the kernel
-counts every permutation once, by direct comparisons, and only shares
-the work on its last four positions among prefixes whose entries rank
-alike among the leftover values.  Each class becomes a PairSet read
-straight off the bits of its mask.  Listing I_h(S, n) lists, with no
-dead ends and in lexicographic order, the linear extensions of the order
-that S puts on the positions: over all of S_n for the oracle entry
+(enumerate_admissible, poincare, and graded_admissible, which also
+grades each class by length) is a full sweep over S_n: the kernel counts
+every permutation once, by direct comparisons, and only shares work
+among permutations whose prefixes have the same pattern or rank alike
+among the leftover values.  Each class becomes a PairSet decoded from
+its mask a byte at a time, through tables of pair tuples built once per
+sweep (_decoder).  Listing I_h(S, n) lists, with no dead ends and in
+lexicographic order, the linear extensions of the order that S puts on
+the positions: over all of S_n for the oracle entry
 points, and for the fiber base points and coefficient sets only the
 words that increase after the maximum descent, as every member of the
 target set does.  The kernels themselves are in invpoly.kernels.
@@ -49,12 +51,30 @@ def _mask_of(S: PairSet, window: tuple[tuple[int, int], ...]) -> int | None:
     return mask if mask.bit_count() == len(s_pairs) else None
 
 
-def _unmask(mask: int, window: tuple[tuple[int, int], ...]) -> PairSet:
-    """The pairs of window that mask selects.  window is sorted and unique,
-    so they come out in order and need no validation."""
-    return PairSet._from_sorted(
-        tuple([p for b, p in enumerate(window) if mask >> b & 1])
-    )
+def _decoder(window: tuple[tuple[int, int], ...]):
+    """A function from a mask over window to the PairSet it selects.
+
+    The window is cut into chunks of 8 pairs, and each chunk gets a table,
+    built here, of the pair tuples its 256 bit patterns select; a mask is
+    then one table entry per chunk, joined in order.  window is sorted and
+    unique, so the pairs come out in order and need no validation.
+    """
+    chunks = []
+    for start in range(0, len(window), 8):
+        chunk = window[start:start + 8]
+        table = [()]
+        for bits in range(1, 1 << len(chunk)):
+            low = bits & -bits  # its pair comes first
+            table.append((chunk[low.bit_length() - 1],) + table[bits ^ low])
+        chunks.append((start, table))
+
+    def decode(mask: int) -> PairSet:
+        pairs = ()
+        for start, table in chunks:
+            pairs += table[mask >> start & 255]
+        return PairSet._from_sorted(pairs)
+
+    return decode
 
 
 def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
@@ -201,7 +221,25 @@ def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:
     _check_bound(n)
     window = possible_pairs(h, n).pairs
     counts = kernels.admissible_counts(n, window)
-    return {_unmask(mask, window): c for mask, c in counts.items()}
+    decode = _decoder(window)
+    return {decode(mask): c for mask, c in counts.items()}
+
+
+def graded_admissible(h: HSequence, n: int) -> dict[PairSet, QPoly]:
+    """Group S_n by restricted inversion set, each class graded by length:
+    S -> sum of q^length(pi) over I_h(S, n).  at_one() gives the counts of
+    enumerate_admissible."""
+    _check_bound(n)
+    window = possible_pairs(h, n).pairs
+    graded = kernels.graded_admissible_counts(n, window)
+    decode = _decoder(window)
+    out = {}
+    for mask, lengths in graded.items():
+        cs = [0] * (max(lengths) + 1)
+        for length, c in lengths.items():
+            cs[length] = c
+        out[decode(mask)] = QPoly(tuple(cs))
+    return out
 
 
 def poincare(h: HSequence, n: int) -> QPoly:

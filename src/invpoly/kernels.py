@@ -6,13 +6,16 @@ bitmask over the pair list, held in a Python int so that any number of
 pairs fits, and callers compare sets with integer equality.
 
 Grouping (admissible_counts) is the full sweep over S_n and stays the
-honest oracle.  It splits each permutation into a prefix and a suffix of
-the last four entries, walks the prefixes once, and tabulates the suffix
-arrangements once for each pattern of ranks that the prefix entries take
+honest oracle; graded_admissible_counts is the same sweep with each
+class split further by length.  Each permutation splits into a prefix
+and a suffix of the last four entries, and the prefix into a pattern
+(the relative order of its entries) and a set of values.  The patterns
+are walked once, the value sets once, and the suffix arrangements are
+tabulated once for each pattern of ranks that the prefix entries take
 among the values left for the suffix.  Every permutation is still
-exactly one (prefix, suffix arrangement) pair, and its mask still comes
-from direct comparisons: the split only shares the suffix work among
-prefixes that look alike to it.  Nothing outlives the call, so a
+exactly one (pattern, value set, arrangement) triple, and its mask still
+comes from direct comparisons: the split only shares work among the
+permutations that look alike to it.  Nothing outlives the call, so a
 repeated call sweeps again.
 
 Matching lists the permutations with a given mask exactly, as the linear
@@ -25,73 +28,128 @@ out sorted.
 import itertools
 
 
-_SUFFIX = 4  # length r of the suffix that admissible_counts tabulates
+_SUFFIX = 4  # length r of the suffix that the grouping sweep tabulates
 
 
 def admissible_counts(n, pairs):
     """Map inversion-bitmask -> number of permutations of [n] attaining it.
 
-    A full sweep of S_n, split at position k = n - r, r = min(_SUFFIX, n).
-    Each prefix (the first k entries) is classified by its mask over the
-    pairs inside it and by the boundary ranks: for each prefix position
-    paired with a suffix position, the number of values left for the
-    suffix that lie below its entry.  The entry at i exceeds the suffix
-    entry of rank t exactly when that number exceeds t, so a rank tuple
-    fixes, for each of the r! arrangements of the suffix, the mask of
-    every pair that reaches the suffix.  Those r! masks are built once per
-    rank tuple seen, and each (prefix class, suffix mask) pair adds the
-    product of their counts.  The counts sum to n!.
+    The full sweep of S_n (_sweep), with no lengths.  The counts sum to n!.
+    """
+    return _sweep(n, pairs, 0)
+
+
+def graded_admissible_counts(n, pairs):
+    """Map inversion-bitmask -> {length: number of permutations of [n]
+    with that mask and that many inversions}.
+
+    The same sweep as admissible_counts, with each key carrying the
+    length in its low bits; the counts sum to n!.
+    """
+    shift = (n * (n - 1) // 2).bit_length()  # room for any length
+    low = (1 << shift) - 1
+    graded = {}
+    for key, c in _sweep(n, pairs, shift).items():
+        graded.setdefault(key >> shift, {})[key & low] = c
+    return graded
+
+
+def _sweep(n, pairs, shift):
+    """Count the permutations of [n] by key = mask << shift | length.
+
+    With shift 0 no length is kept and the key is the mask alone.
+
+    Each permutation splits at position k = n - r, r = min(_SUFFIX, n),
+    into a prefix and a suffix.  The prefix is a pattern (the relative
+    order of its k entries, a permutation of range(k)) placed on a
+    k-subset v_0 < ... < v_{k-1} of the values; the suffix is an
+    arrangement of the r values left.  gap[t] = v_t - 1 - t counts the
+    values left below v_t, so:
+
+    - a pair inside the prefix compares two pattern entries, and its bit
+      depends on the pattern alone;
+    - the entry at a prefix position p exceeds the suffix entry of rank
+      t exactly when gap[pattern[p]] > t, so the pairs that reach the
+      suffix depend on the arrangement and on the boundary ranks
+      gap[pattern[p]], p a prefix position paired with the suffix;
+    - the length is inv(pattern) + sum(gap) + inv(arrangement): every
+      prefix entry exceeds gap[t] suffix entries, all to its right.
+
+    So the k! patterns are classified once by (head key, pattern values
+    at the boundary positions), and the C(n, k) value sets once by the
+    boundary ranks and sum(gap) they give each such tuple of values.
+    The r! arrangement keys are built once per rank tuple seen, and each
+    (prefix class, arrangement key) pair adds the product of their
+    counts.  Head, cross and tail pairs have disjoint bits and lengths
+    stay below 1 << shift, so adding two keys combines them.  Every
+    permutation is exactly one (pattern, value set, arrangement) triple,
+    and every bit comes from a direct comparison.
     """
     r = min(_SUFFIX, n)
     k = n - r
     head, cross, tail = [], [], []
     for b, (i, j) in enumerate(pairs):
+        bit = 1 << b << shift
         if j <= k:
-            head.append((i - 1, j - 1, 1 << b))
+            head.append((i - 1, j - 1, bit))
         elif i <= k:
-            cross.append((i - 1, j - 1 - k, 1 << b))
+            cross.append((i - 1, j - 1 - k, bit))
         else:
-            tail.append((i - 1 - k, j - 1 - k, 1 << b))
+            tail.append((i - 1 - k, j - 1 - k, bit))
     boundary = sorted({i for i, _, _ in cross})
     slot = {p: s for s, p in enumerate(boundary)}
     cross = [(slot[i], j, bit) for i, j, bit in cross]
 
-    everything = (1 << (n + 1)) - 2  # bit v set for each value v of [n]
-    prefixes = {}
-    for prefix in itertools.permutations(range(1, n + 1), k):
-        mask = 0
+    patterns = {}  # boundary values -> {head key: patterns}
+    for pattern in itertools.permutations(range(k)):
+        key = _inversions(pattern) if shift else 0
         for a, b, bit in head:
-            if prefix[a] > prefix[b]:
-                mask |= bit
-        rest = everything  # the values left for the suffix
-        for v in prefix:
-            rest ^= 1 << v
-        ranks = tuple((rest & ((1 << prefix[p]) - 1)).bit_count() for p in boundary)
-        key = (mask, ranks)
-        prefixes[key] = prefixes.get(key, 0) + 1
+            if pattern[a] > pattern[b]:
+                key |= bit
+        group = patterns.setdefault(tuple([pattern[p] for p in boundary]), {})
+        group[key] = group.get(key, 0) + 1
+
+    placed = {values: {} for values in patterns}  # -> {(ranks, crossings): value sets}
+    for subset in itertools.combinations(range(1, n + 1), k):
+        gap = [v - 1 - t for t, v in enumerate(subset)]
+        crossings = sum(gap) if shift else 0
+        for values, seen in placed.items():
+            key = (tuple([gap[v] for v in values]), crossings)
+            seen[key] = seen.get(key, 0) + 1
+    prefixes = {}  # boundary ranks -> {prefix key: prefixes}
+    for values, seen in placed.items():
+        group = patterns[values]
+        for (ranks, crossings), w in seen.items():
+            into = prefixes.setdefault(ranks, {})
+            for key, c in group.items():
+                key += crossings
+                into[key] = into.get(key, 0) + w * c
 
     arrangements = []
     for word in itertools.permutations(range(r)):
-        mask = 0
+        key = _inversions(word) if shift else 0
         for a, b, bit in tail:
             if word[a] > word[b]:
-                mask |= bit
-        arrangements.append((word, mask))
-    tables = {}  # boundary ranks -> {suffix mask: arrangements}
+                key |= bit
+        arrangements.append((word, key))
     counts = {}
-    for (prefix_mask, ranks), c in prefixes.items():
-        table = tables.get(ranks)
-        if table is None:
-            table = tables[ranks] = {}
-            for word, mask in arrangements:
-                for s, j, bit in cross:
-                    if ranks[s] > word[j]:
-                        mask |= bit
-                table[mask] = table.get(mask, 0) + 1
-        for suffix_mask, d in table.items():
-            mask = prefix_mask | suffix_mask
-            counts[mask] = counts.get(mask, 0) + c * d
+    for ranks, heads in prefixes.items():
+        table = {}  # suffix key -> arrangements
+        for word, key in arrangements:
+            for s, j, bit in cross:
+                if ranks[s] > word[j]:
+                    key |= bit
+            table[key] = table.get(key, 0) + 1
+        for prefix_key, c in heads.items():
+            for suffix_key, d in table.items():
+                key = prefix_key + suffix_key
+                counts[key] = counts.get(key, 0) + c * d
     return counts
+
+
+def _inversions(word):
+    return sum(1 for a in range(len(word)) for b in range(a + 1, len(word))
+               if word[a] > word[b])
 
 
 def matching_perms(n, pairs, target):

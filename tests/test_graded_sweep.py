@@ -1,0 +1,168 @@
+"""The graded grouping sweep and the class decoder.
+
+kernels.graded_admissible_counts is compared with a plain S_n sweep
+written out here, and enumeration.graded_admissible with the listing
+oracle graded_Ih_oracle.  The decoder is compared with the bit-by-bit
+rule it replaced.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+from click.testing import CliRunner
+
+from conftest import CORPUS_H
+from invpoly import (
+    HSequence,
+    PairSet,
+    QPoly,
+    enumeration,
+    graded_Ih_oracle,
+    kernels,
+    possible_pairs,
+)
+from invpoly.cli import main, run_invariant_suite
+from invpoly.errors import BoundExceededError
+
+H3 = HSequence((), 3)
+
+
+def h_id(h):
+    return f"prefix-{''.join(map(str, h.prefix))}" if h.prefix else f"tail{h.tail_offset}"
+
+
+def graded_grouping(n, pairs):
+    """Inversion bitmask -> {length: permutations of [n] with both},
+    testing every pair and counting every inversion on every permutation."""
+    idx = [(i - 1, j - 1, 1 << b) for b, (i, j) in enumerate(pairs)]
+    out = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        mask = 0
+        for a, b, bit in idx:
+            if perm[a] > perm[b]:
+                mask |= bit
+        length = sum(1 for a, b in itertools.combinations(range(n), 2)
+                     if perm[a] > perm[b])
+        lengths = out.setdefault(mask, {})
+        lengths[length] = lengths.get(length, 0) + 1
+    return out
+
+
+def complete(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def mahonian(n):
+    """Coefficients of [n]_q!: permutations of [n] by number of inversions."""
+    row = [1]
+    for k in range(2, n + 1):
+        row = [sum(row[e - d] for d in range(k) if 0 <= e - d < len(row))
+               for e in range(len(row) + k - 1)]
+    return row
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_graded_counts_fixed_pair_lists(n):
+    # n < 4: the whole word is the suffix; no pairs; every pair
+    for pairs in ([], complete(n), complete(n)[::2]):
+        assert kernels.graded_admissible_counts(n, pairs) == graded_grouping(n, pairs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_graded_counts_random_pairs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 7)
+    pairs = rng.sample(complete(n), rng.randint(0, len(complete(n))))
+    assert kernels.graded_admissible_counts(n, pairs) == graded_grouping(n, pairs)
+
+
+@pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+def test_graded_admissible_equals_listing_oracle(h):
+    for n in range(1, 8):
+        graded = enumeration.graded_admissible(h, n)
+        assert sum(q.at_one() for q in graded.values()) == math.factorial(n)
+        for S, q in graded.items():
+            assert q == graded_Ih_oracle(h, S, n), (n, S)
+
+
+@pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+@pytest.mark.parametrize("n", [8, 9])
+def test_graded_counts_sum_to_grouping_counts(h, n):
+    pairs = possible_pairs(h, n).pairs
+    graded = kernels.graded_admissible_counts(n, pairs)
+    assert {mask: sum(lengths.values()) for mask, lengths in graded.items()} == \
+        kernels.admissible_counts(n, pairs)
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for lengths in graded.values():
+        for length, c in lengths.items():
+            total[length] += c
+    assert total == mahonian(n)
+
+
+def test_graded_admissible_bound(monkeypatch):
+    monkeypatch.setenv("INVPOLY_MAX_N", "6")
+    with pytest.raises(BoundExceededError):
+        enumeration.graded_admissible(H3, 7)
+    assert enumeration.graded_admissible(H3, 6)
+
+
+def bit_by_bit(mask, window):
+    return tuple(p for b, p in enumerate(window) if mask >> b & 1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 8, 9, 16, 17, 70])
+def test_decoder_equals_bit_by_bit(size):
+    window = tuple(complete(13)[:size])  # sorted and unique
+    decode = enumeration._decoder(window)
+    rng = random.Random(size)
+    full = (1 << size) - 1
+    tested = {0, full} | {rng.getrandbits(size) if size else 0 for _ in range(200)}
+    tested |= {1 << b for b in range(size)} | {full ^ 1 << b for b in range(size)}
+    for mask in tested:
+        got = decode(mask)
+        assert isinstance(got, PairSet)
+        assert got.pairs == bit_by_bit(mask, window), mask
+
+
+@pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+def test_decoded_classes_are_valid_pair_sets(h):
+    for n in range(1, 8):
+        for S in enumeration.enumerate_admissible(h, n):
+            rebuilt = PairSet(S.pairs)  # through the validating __init__
+            assert rebuilt == S and rebuilt.pairs == S.pairs
+            assert hash(rebuilt) == hash(S)
+
+
+def test_verify_lists_nothing_for_its_graded_check(monkeypatch):
+    calls = {"enumerate_Ih": 0, "graded_Ih_oracle": 0}
+
+    def counted(name):
+        original = getattr(enumeration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(enumeration, name, counted(name))
+    res = CliRunner().invoke(
+        main, ["verify", "--h", '{"prefix":[],"tail_offset":3}', "--cap", "5"])
+    assert res.exit_code == 0, res.output
+    assert calls == {"enumerate_Ih": 0, "graded_Ih_oracle": 0}
+
+
+def test_corrupted_graded_sweep_is_reported(monkeypatch):
+    sweep = enumeration.graded_admissible
+
+    def shifted(h, n):
+        # every nonempty class moved up one length: same counts, wrong grading
+        q = QPoly.monomial(1)
+        return {S: p * q if S else p for S, p in sweep(h, n).items()}
+
+    monkeypatch.setattr(enumeration, "graded_admissible", shifted)
+    failures = run_invariant_suite(H3, 5)
+    assert failures
+    assert all("graded expansion mismatch" in f for f in failures)
