@@ -12,7 +12,8 @@ lexicographic order, the linear extensions of the order that S puts on
 the positions: over all of S_n for the oracle entry
 points, and for the fiber base points and coefficient sets only the
 words that increase after the maximum descent, as every member of the
-target set does.  The kernels themselves are in invpoly.kernels.
+target set does.  Listings return word tuples; only the entry point
+enumerate_Ih makes them Permutations.  The kernels are in invpoly.kernels.
 
 a_counts lists nothing: it counts the a-window m+h(m)-1 over the order
 ideals of that same order (posets.ideal_step), and never calls a kernel.
@@ -29,7 +30,6 @@ from invpoly.model import (
     HSequence,
     PairSet,
     Permutation,
-    inv_h,
     possible_pairs,
 )
 from invpoly.polynomials import QPoly
@@ -88,30 +88,28 @@ def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
     return [Permutation(p) for p in perms]
 
 
-def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
-    """Same set as enumerate_Ih for nonempty admissible S, but sweeping only
+def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[tuple[int, ...]]:
+    """The words of enumerate_Ih for nonempty admissible S, sweeping only
     words that increase after position m(S).  Not bound-capped: the sweep
     size is n!/(n-m)!, not n!."""
     if not S:
-        return [Permutation.identity(n)]
-    m = S.m()
+        return [tuple(range(1, n + 1))]
     window = possible_pairs(h, n).pairs
     mask = _mask_of(S, window)
     if mask is None:
         return []
-    perms = kernels.matching_perms_sorted_suffix(n, m, window, mask)
-    return [Permutation(p) for p in perms]
+    return kernels.matching_perms_sorted_suffix(n, S.m(), window, mask)
 
 
-def t_of(sigma: Permutation, h: HSequence, S: PairSet) -> int:
+def t_of(sigma: tuple[int, ...], h: HSequence, S: PairSet) -> int:
     """max sigma_k over positions k with k < j(S)+1 <= h(k)."""
     j = S.j()
-    return max(sigma.word[k - 1] for k in range(1, j + 1) if h.h(k) >= j + 1)
+    return max(sigma[k - 1] for k in range(1, j + 1) if h.h(k) >= j + 1)
 
 
 @dataclass(frozen=True)
 class FiberDatum:
-    sigma: Permutation
+    sigma: tuple[int, ...]  # the base point's word
     t_value: int
 
 
@@ -124,15 +122,12 @@ def fiber_data(h: HSequence, S: PairSet) -> list[FiberDatum]:
     ]
 
 
-def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[Permutation]:
-    """Members of I_h(S, n) whose entry at position h(m(S)) equals k."""
+def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[tuple[int, ...]]:
+    """Words of I_h(S, n) whose entry at position h(m(S)) equals k."""
     hm = h.h(S.m())
     if n < hm:
         raise InputError(f"B_k sets need n >= h(m) = {hm}, got n={n}")
-    pos = hm - 1
-    return [
-        pi for pi in enumerate_Ih_structured(h, S, n) if pi.word[pos] == k
-    ]
+    return [w for w in enumerate_Ih_structured(h, S, n) if w[hm - 1] == k]
 
 
 def b_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
@@ -140,10 +135,8 @@ def b_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     m = S.m()
     hm = h.h(m)
     counts = [0] * (m + 1)
-    for pi in enumerate_Ih_structured(h, S, hm):
-        k = pi.word[hm - 1]
-        if hm - m <= k <= hm:
-            counts[k - (hm - m)] += 1
+    for w in enumerate_Ih_structured(h, S, hm):
+        counts[w[hm - 1] - (hm - m)] += 1  # w rises after m: hm-m <= k <= hm
     return tuple(counts)
 
 
@@ -201,19 +194,16 @@ def _completes(ideal: int, lower: list[int], m: int) -> bool:
     return True
 
 
-def A_star_set(h: HSequence, S: PairSet, k: int) -> list[Permutation]:
-    """Members of I_h(S, m + h(m) - 1) whose large entries among the first m
+def A_star_set(h: HSequence, S: PairSet, k: int) -> list[tuple[int, ...]]:
+    """Words of I_h(S, m + h(m) - 1) whose large entries among the first m
     positions form exactly the interval [h(m), h(m)+k-1]."""
     m = S.m()
     hm = h.h(m)
-    N = m + hm - 1
     want = frozenset(range(hm, hm + k))
-    out = []
-    for pi in enumerate_Ih_structured(h, S, N):
-        high = frozenset(v for v in pi.word[:m] if v >= hm)
-        if high == want:
-            out.append(pi)
-    return out
+    return [
+        w for w in enumerate_Ih_structured(h, S, m + hm - 1)
+        if frozenset(v for v in w[:m] if v >= hm) == want
+    ]
 
 
 def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:

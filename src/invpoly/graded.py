@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from invpoly.enumeration import (
     B_k_set,
+    enumerate_Ih_structured,
     enumerate_admissible,
     graded_Ih_oracle,
 )
@@ -23,7 +24,7 @@ from invpoly.errors import (
     InputError,
     RouteDisagreementError,
 )
-from invpoly.model import HSequence, PairSet, require_admissible
+from invpoly.model import HSequence, PairSet, length, require_admissible
 from invpoly.polynomials import (
     QPoly,
     q_binom,
@@ -50,6 +51,8 @@ class GradedExpansion:
     b_q: tuple[QPoly, ...]  # indexed k = hm-m .. hm
 
     def coeff(self, k: int) -> QPoly:
+        if not self.hm - self.m <= k <= self.hm:
+            raise IndexError(k)
         return self.b_q[k - (self.hm - self.m)]
 
     def indices(self) -> range:
@@ -69,7 +72,7 @@ def b_q_coefficients(h: HSequence, S: PairSet) -> GradedExpansion:
     m = S.m()
     hm = h.h(m)
     b_q = tuple(
-        QPoly.from_exponents(pi.length() for pi in B_k_set(h, S, hm, k))
+        QPoly.from_exponents(length(w) for w in B_k_set(h, S, hm, k))
         for k in range(hm - m, hm + 1)
     )
     return GradedExpansion(hm, m, b_q)
@@ -92,18 +95,19 @@ def length_split_check(h: HSequence, S: PairSet, n: int) -> bool:
 
     For pi with pi_{h(m)} = k, the length must split as the length of the
     flattened window plus the subset length (within [k+1, n]) of the
-    complement of the tail values.
+    complement of the tail values.  One listing serves every k; the window
+    flattens with its relative order, so keeps its length.
     """
     require_admissible(h, S)
-    m = S.m()
-    hm = h.h(m)
-    for k in range(hm - m, hm + 1):
-        for pi in B_k_set(h, S, n, k):
-            tail = set(pi.word[hm:])
-            comp = [v for v in range(k + 1, n + 1) if v not in tail]
-            want = pi.flatten(hm).length() + subset_length(comp, k + 1, n)
-            if pi.length() != want:
-                return False
+    hm = h.h(S.m())
+    if n < hm:
+        raise InputError(f"B_k sets need n >= h(m) = {hm}, got n={n}")
+    for w in enumerate_Ih_structured(h, S, n):
+        k = w[hm - 1]
+        tail = set(w[hm:])
+        comp = [v for v in range(k + 1, n + 1) if v not in tail]
+        if length(w) != length(w[:hm]) + subset_length(comp, k + 1, n):
+            return False
     return True
 
 

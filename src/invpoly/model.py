@@ -73,6 +73,16 @@ class HSequence:
         return f"HSequence(prefix={list(self.prefix)}, tail_offset={self.tail_offset})"
 
 
+def length(word: tuple[int, ...]) -> int:
+    """Inversions of a word of distinct positive integers, in one pass:
+    each entry adds the entries before it that exceed it."""
+    seen = inv = 0  # seen: bitmask of the values before
+    for v in word:
+        inv += (seen >> v).bit_count()
+        seen |= 1 << v
+    return inv
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Permutation of [n] in one-line notation."""
@@ -99,13 +109,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of ordinary inversions."""
-        w = self.word
-        return sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if w[i] > w[j]
-        )
+        return length(self.word)
 
     def flatten(self, k: int) -> "Permutation":
         """Relabel the first k entries to a permutation of [k], keeping order."""
@@ -286,7 +290,9 @@ def is_admissible(h: HSequence, S: PairSet) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=16)
 def require_admissible(h: HSequence, S: PairSet) -> None:
-    """InadmissibleSetError unless S is nonempty and h-admissible."""
+    """InadmissibleSetError unless S is nonempty and h-admissible.  Cached,
+    and small: the routes of one set, run one after another, share a check."""
     if not S or not is_admissible(h, S):
         raise InadmissibleSetError(f"{S} is not a nonempty h-admissible set")

@@ -35,8 +35,8 @@ def listed_a_counts(h, S):
     m = S.m()
     hm = h.h(m)
     counts = [0] * (m + 1)
-    for pi in enumerate_Ih_structured(h, S, m + hm - 1):
-        high = sorted(v for v in pi.word[:m] if v >= hm)
+    for w in enumerate_Ih_structured(h, S, m + hm - 1):
+        high = sorted(v for v in w[:m] if v >= hm)
         if high == list(range(hm, hm + len(high))):
             counts[len(high)] += 1
     return tuple(counts)

@@ -7,12 +7,14 @@ from invpoly import (
     HSequence,
     PairSet,
     b_expansion,
+    enumerate_admissible,
     errors,
     fiber_expansion,
     graded,
+    model,
     posets,
 )
-from invpoly.cli import main
+from invpoly.cli import main, run_invariant_suite
 
 H2 = '{"prefix":[],"tail_offset":2}'
 H3 = '{"prefix":[],"tail_offset":3}'
@@ -298,6 +300,21 @@ class TestOtherCommands:
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
         assert res.exit_code == 5
         assert res.output.startswith("error: ")
+
+    def test_verify_checks_each_set_once(self, monkeypatch):
+        h = HSequence((), 2)
+        sets = {S for S in enumerate_admissible(h, 6) if S}
+        checked = []
+        check = model.is_admissible
+
+        def counted(h, S):
+            checked.append(S)
+            return check(h, S)
+
+        model.require_admissible.cache_clear()
+        monkeypatch.setattr(model, "is_admissible", counted)
+        assert run_invariant_suite(h, 6) == []
+        assert len(checked) == len(sets) and set(checked) == sets
 
     def test_verify_conjecture(self, runner):
         res = runner.invoke(

@@ -8,10 +8,18 @@ from invpoly import (
     HSequence,
     PairSet,
     Permutation,
+    a_expansion,
+    b_expansion,
+    b_from_heights,
+    b_q_coefficients,
+    degree_of,
     enumerate_Ih,
     enumerate_admissible,
     fiber_data,
+    fiber_expansion,
     inv_h,
+    is_constant,
+    length_split_check,
     poincare,
     t_of,
 )
@@ -66,27 +74,27 @@ class TestEnumerateIh:
         for S in (S_QUAD, S_FIVE, PairSet([(1, 2)])):
             h = H3 if S is S_FIVE else H2
             for n in range(S.j(), 8):
-                assert enumerate_Ih_structured(h, S, n) == enumerate_Ih(h, S, n)
+                assert enumerate_Ih_structured(h, S, n) == [
+                    p.word for p in enumerate_Ih(h, S, n)
+                ]
 
     def test_structured_empty_set(self):
         assert enumerate_Ih_structured(H2, PairSet(), 3) == [
-            Permutation.identity(3)
+            Permutation.identity(3).word
         ]
 
 
 class TestFiberData:
     def test_t_values(self):
-        by_word = {
-            str(fd.sigma): fd.t_value for fd in fiber_data(H2, S_QUAD)
-        }
-        assert by_word == {"2413": 3, "3412": 2}
+        by_word = {fd.sigma: fd.t_value for fd in fiber_data(H2, S_QUAD)}
+        assert by_word == {(2, 4, 1, 3): 3, (3, 4, 1, 2): 2}
 
     def test_constant_t_for_five_pair_set(self):
         data = fiber_data(H3, S_FIVE)
         assert sorted(fd.t_value for fd in data) == [5, 5, 5]
 
     def test_t_of_single(self):
-        assert t_of(Permutation((2, 4, 1, 3)), H2, S_QUAD) == 3
+        assert t_of((2, 4, 1, 3), H2, S_QUAD) == 3
 
 
 class TestBkAndAStar:
@@ -95,8 +103,8 @@ class TestBkAndAStar:
         assert counts == {3: 0, 4: 0, 5: 0, 6: 0, 7: 3, 8: 6}
 
     def test_b_k_members_end_correctly(self):
-        for pi in B_k_set(H3, S_FIVE, 8, 7):
-            assert pi.word[7] == 7
+        for w in B_k_set(H3, S_FIVE, 8, 7):
+            assert w[7] == 7
 
     def test_b_k_rejects_small_window(self):
         with pytest.raises(InputError):
@@ -109,10 +117,12 @@ class TestBkAndAStar:
         # members whose high entries form a non-initial subset of
         # [h(m), N] (here {5} instead of {4}) belong to no A*_k
         m, hm = S_QUAD.m(), H2.h(S_QUAD.m())
-        sets = [words(A_star_set(H2, S_QUAD, k)) for k in range(m + 1)]
-        assert sets == [set(), {"24135", "34125"}, {"45123"}]
-        all_members = words(enumerate_Ih(H2, S_QUAD, m + hm - 1))
-        assert all_members - set().union(*sets) == {"25134", "35124"}
+        sets = [set(A_star_set(H2, S_QUAD, k)) for k in range(m + 1)]
+        assert sets == [set(), {(2, 4, 1, 3, 5), (3, 4, 1, 2, 5)},
+                        {(4, 5, 1, 2, 3)}]
+        all_members = {p.word for p in enumerate_Ih(H2, S_QUAD, m + hm - 1)}
+        assert all_members - set().union(*sets) == {(2, 5, 1, 3, 4),
+                                                    (3, 5, 1, 2, 4)}
 
 
 class TestAdmissibleGrouping:
@@ -163,3 +173,26 @@ class TestPoincare:
     def test_t_equals_one_gives_factorial(self):
         for n in range(1, 7):
             assert poincare(H2, n).at_one() == math.factorial(n)
+
+
+def test_routes_build_no_permutation(monkeypatch):
+    # the routes count and grade the listed word tuples; a Permutation is
+    # built only at the entry points that return one
+    routes = {
+        "b_q": lambda: b_q_coefficients(H3, S_FIVE),
+        "split": lambda: length_split_check(H3, S_FIVE, 9),
+        "fiber": lambda: fiber_expansion(H3, S_FIVE),
+        "b": lambda: b_expansion(H3, S_FIVE),
+        "a": lambda: a_expansion(H3, S_FIVE),
+        "heights": lambda: b_from_heights(H3, S_FIVE),
+        "degree": lambda: degree_of(H3, S_FIVE),
+        "constant": lambda: is_constant(H3, S_FIVE),
+    }
+    want = {name: route() for name, route in routes.items()}
+
+    def refuse(self):
+        raise AssertionError(f"a route built Permutation {self.word}")
+
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    assert {name: route() for name, route in routes.items()} == want
+    assert want["split"]

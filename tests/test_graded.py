@@ -60,6 +60,13 @@ class TestGradedCoefficients:
         with pytest.raises(InadmissibleSetError):
             b_q_coefficients(H2, PairSet())
 
+    def test_coeff_outside_indices_raises(self):
+        ge = b_q_coefficients(H2, PairSet([(1, 2)]))
+        assert ge.indices() == range(2, 4)
+        for k in (0, 1, 4):
+            with pytest.raises(IndexError):
+                ge.coeff(k)
+
 
 class TestGradedExpansion:
     def test_matches_oracle_at_and_above_floor(self):
@@ -91,6 +98,10 @@ class TestLengthSplit:
     def test_holds_on_examples(self):
         assert length_split_check(H3, S_FIVE, 8)
         assert length_split_check(H2, S_POSET, 7)
+
+    def test_rejects_window_below_h_of_m(self):
+        with pytest.raises(InputError):
+            length_split_check(H3, S_FIVE, 7)
 
 
 class TestVerifyConjecture:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from invpoly import (
@@ -10,6 +12,7 @@ from invpoly import (
     possible_pairs,
 )
 from invpoly.errors import InputError, NoDescentError
+from invpoly.model import length
 
 
 class TestHSequence:
@@ -58,6 +61,12 @@ class TestPermutation:
     def test_length_counts_inversions(self):
         assert Permutation((4, 5, 2, 3, 1)).length() == 8
         assert Permutation.identity(5).length() == 0
+
+    def test_length_of_a_word_of_any_distinct_values(self):
+        # the windows that length_split_check measures are not permutations
+        for word in itertools.permutations((2, 3, 5, 8, 9)):
+            want = sum(a > b for i, a in enumerate(word) for b in word[i + 1:])
+            assert length(word) == want
 
     def test_inversions(self):
         assert Permutation((3, 1, 2)).inversions() == PairSet([(1, 2), (1, 3)])

@@ -116,7 +116,7 @@ def test_fiber_partition_sizes(h):
             members = enumerate_Ih(h, S, n)
             by_base = {}
             for pi in members:
-                by_base.setdefault(pi.flatten(j), []).append(pi)
+                by_base.setdefault(pi.flatten(j).word, []).append(pi)
             assert set(by_base) <= {fd.sigma for fd in data}
             assert sum(len(v) for v in by_base.values()) == len(members)
             # each fiber has the predicted binomial size
