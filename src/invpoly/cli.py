@@ -216,7 +216,7 @@ def cmd_admissible(h, n, json_file, json_out):
     if n is None:
         raise InputError("admissible needs n")
     classes = enumeration.enumerate_admissible(hseq, n)
-    ordered = sorted(classes.items(), key=lambda kv: kv[0].pairs)
+    ordered = sorted(classes.items())
     payload = {
         "classes": [{"S": S.to_json(), "count": c} for S, c in ordered]
     }
@@ -306,7 +306,7 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
     counts = {n: {S: q.at_one() for S, q in classes.items()}
               for n, classes in graded.items()}
     zero = polynomials.QPoly.zero()
-    for S in sorted((S for S in graded[cap] if S), key=lambda S: S.pairs):
+    for S in sorted(S for S in graded[cap] if S):
         hm = hseq.h(S.m())
         if hm <= cap:
             ge = graded_mod.b_q_coefficients(hseq, S)

@@ -46,7 +46,7 @@ def _check_bound(n: int) -> None:
 
 def _mask_of(S: PairSet, window: tuple[tuple[int, int], ...]) -> int | None:
     """Bitmask of S relative to the candidate-pair window; None if S leaks."""
-    s_pairs = set(S.pairs)
+    s_pairs = set(S)
     mask = sum(1 << b for b, p in enumerate(window) if p in s_pairs)
     return mask if mask.bit_count() == len(s_pairs) else None
 
@@ -80,7 +80,7 @@ def _decoder(window: tuple[tuple[int, int], ...]):
 def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
     """All permutations of [n] with restricted inversion set exactly S."""
     _check_bound(n)
-    window = possible_pairs(h, n).pairs
+    window = possible_pairs(h, n)
     mask = _mask_of(S, window)
     if mask is None:
         return []
@@ -94,7 +94,7 @@ def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[tuple[int,
     size is n!/(n-m)!, not n!."""
     if not S:
         return [tuple(range(1, n + 1))]
-    window = possible_pairs(h, n).pairs
+    window = possible_pairs(h, n)
     mask = _mask_of(S, window)
     if mask is None:
         return []
@@ -160,7 +160,7 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     hm = h.h(m)
     n = m + hm - 1
     counts = [0] * (m + 1)
-    s_pairs = set(S.pairs)
+    s_pairs = set(S)
     lower = [0] * n  # lower[p]: positions whose entries must be below p's
     inside = 0
     for i, j in possible_pairs(h, n):
@@ -196,9 +196,11 @@ def _completes(ideal: int, lower: list[int], m: int) -> bool:
 
 def A_star_set(h: HSequence, S: PairSet, k: int) -> list[tuple[int, ...]]:
     """Words of I_h(S, m + h(m) - 1) whose large entries among the first m
-    positions form exactly the interval [h(m), h(m)+k-1]."""
+    positions form exactly the interval [h(m), h(m)+k-1]; none for k < 0."""
     m = S.m()
     hm = h.h(m)
+    if k < 0:
+        return []
     want = frozenset(range(hm, hm + k))
     return [
         w for w in enumerate_Ih_structured(h, S, m + hm - 1)
@@ -209,7 +211,7 @@ def A_star_set(h: HSequence, S: PairSet, k: int) -> list[tuple[int, ...]]:
 def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:
     """Group S_n by restricted inversion set; counts sum to n!."""
     _check_bound(n)
-    window = possible_pairs(h, n).pairs
+    window = possible_pairs(h, n)
     counts = kernels.admissible_counts(n, window)
     decode = _decoder(window)
     return {decode(mask): c for mask, c in counts.items()}
@@ -220,7 +222,7 @@ def graded_admissible(h: HSequence, n: int) -> dict[PairSet, QPoly]:
     S -> sum of q^length(pi) over I_h(S, n).  at_one() gives the counts of
     enumerate_admissible."""
     _check_bound(n)
-    window = possible_pairs(h, n).pairs
+    window = possible_pairs(h, n)
     graded = kernels.graded_admissible_counts(n, window)
     decode = _decoder(window)
     out = {}
@@ -239,7 +241,7 @@ def poincare(h: HSequence, n: int) -> QPoly:
     polynomial of the associated regular semisimple Hessenberg variety.
     """
     _check_bound(n)
-    window = possible_pairs(h, n).pairs
+    window = possible_pairs(h, n)
     counts = kernels.admissible_counts(n, window)
     exps: dict[int, int] = {}
     for mask, c in counts.items():

@@ -143,7 +143,7 @@ def is_constant(h: HSequence, S: PairSet) -> bool:
         return True
     require_admissible(h, S)
     m = S.m()
-    s_pairs = set(S.pairs)
+    s_pairs = set(S)
 
     def scan_hit(i: int) -> bool:
         full_above = all(

@@ -171,10 +171,7 @@ def verify_conjecture(h: HSequence, hm_cap: int, jobs: int = 1) -> ConjectureRep
     workers = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     classes = enumerate_admissible(h, hm_cap)
-    todo = sorted(
-        (S for S in classes if S and h.h(S.m()) <= hm_cap),
-        key=lambda S: S.pairs,
-    )
+    todo = sorted(S for S in classes if S and h.h(S.m()) <= hm_cap)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -4,7 +4,8 @@ An h-sequence is a weakly increasing sequence of positive integers with
 h(i) > i for every i, presented finitely as an explicit prefix followed by
 an affine tail h(i) = i + t.  A pair set collects index pairs (i, j) with
 i < j; the interesting ones are the restricted inversion sets of
-permutations, i.e. inversions (i, j) with j <= h(i).
+permutations, i.e. inversions (i, j) with j <= h(i).  A pair set is the
+sorted tuple of its pairs, and compares, hashes and orders as that tuple.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from invpoly.errors import InadmissibleSetError, InputError, NoDescentError
 
@@ -142,12 +143,13 @@ class Permutation:
         return ".".join(str(v) for v in self.word)
 
 
-class PairSet:
-    """Canonically sorted finite set of pairs (i, j) with i < j."""
+class PairSet(tuple):
+    """Finite set of pairs (i, j) with i < j, stored as the sorted tuple of
+    its pairs: it compares, hashes and orders as that tuple."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ()
 
-    def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
+    def __new__(cls, pairs: Iterable[tuple[int, int]] = ()):
         seen = set()
         for i, j in pairs:
             if i >= j:
@@ -155,58 +157,37 @@ class PairSet:
             if i < 1:
                 raise InputError(f"pair ({i},{j}) must have positive indices")
             seen.add((i, j))
-        object.__setattr__(self, "pairs", tuple(sorted(seen)))
+        return tuple.__new__(cls, sorted(seen))
 
     @classmethod
     def _from_sorted(cls, pairs: tuple[tuple[int, int], ...]) -> "PairSet":
         """Wrap a tuple of pairs that is already valid, sorted and unique,
         without checking it: for pairs picked from a window in order.
-        Input from outside goes through __init__."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "pairs", pairs)
-        return self
+        Input from outside goes through __new__."""
+        return tuple.__new__(cls, pairs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PairSet is immutable")
-
-    def __reduce__(self):
-        return (PairSet, (self.pairs,))
-
-    def __contains__(self, pair) -> bool:
-        return pair in set(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PairSet) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs as a plain tuple."""
+        return tuple(self)
 
     def j(self) -> int:
         """Largest second index appearing in any pair."""
-        if not self.pairs:
+        if not self:
             raise InputError("j(S) is undefined for the empty set")
-        return max(j for _, j in self.pairs)
+        return max(j for _, j in self)
 
     def m(self) -> int:
         """Largest i with (i, i+1) in the set (the maximum descent)."""
-        descents = [i for i, j in self.pairs if j == i + 1]
+        descents = [i for i, j in self if j == i + 1]
         if not descents:
-            if not self.pairs:
+            if not self:
                 raise InputError("m(S) is undefined for the empty set")
             raise NoDescentError(f"{self} contains no descent pair")
         return max(descents)
 
     def to_json(self) -> list[list[int]]:
-        return [[i, j] for i, j in self.pairs]
+        return [[i, j] for i, j in self]
 
     @classmethod
     def from_json(cls, data) -> "PairSet":
@@ -219,7 +200,7 @@ class PairSet:
         return cls(pairs)
 
     def __repr__(self):
-        inner = ", ".join(f"({i},{j})" for i, j in self.pairs)
+        inner = ", ".join(f"({i},{j})" for i, j in self)
         return "{" + inner + "}"
 
 
@@ -256,7 +237,7 @@ def is_h_closed(h: HSequence, pairs: PairSet, window: int) -> bool:
     Whenever (i, j) and (j, k) are in the set and (i, k) is a possible
     pair (k <= min(h(i), window)), (i, k) must be in the set too.
     """
-    have = set(pairs.pairs)
+    have = set(pairs)
     by_first: dict[int, list[int]] = {}
     for i, j in pairs:
         by_first.setdefault(i, []).append(j)
@@ -278,7 +259,7 @@ def is_admissible(h: HSequence, S: PairSet) -> bool:
     """
     if not S:
         return True
-    s = set(S.pairs)
+    s = set(S)
     if any(j > h.h(i) for i, j in s):
         return False
     for i, k in possible_pairs(h, S.j()):

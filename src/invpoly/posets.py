@@ -123,7 +123,7 @@ def build_poset(h: HSequence, S: PairSet) -> Poset:
     """
     require_admissible(h, S)
     hm = h.h(S.m())
-    s_pairs = set(S.pairs)
+    s_pairs = set(S)
     return Poset.from_relations(hm, (
         (j, i) if (i, j) in s_pairs else (i, j)  # i above j for pairs of S
         for i, j in possible_pairs(h, hm)
@@ -248,7 +248,7 @@ def d_S_of(h: HSequence, S: PairSet) -> int:
 
     # chain route: walk backwards from h(m) along complement pairs only
     window = possible_pairs(h, hm)
-    s_pairs = set(S.pairs)
+    s_pairs = set(S)
     comp = [(i, j) for i, j in window if (i, j) not in s_pairs]
     below = {hm}
     frontier = [hm]

@@ -269,6 +269,15 @@ class TestOtherCommands:
         assert sum(c["count"] for c in data["classes"]) == 6
         assert len(data["classes"]) == 4
 
+    def test_admissible_lists_classes_in_pair_order(self, runner):
+        res = runner.invoke(main, ["admissible", "--h", H3, "--n", "6", "--json-out"])
+        assert res.exit_code == 0
+        classes = enumerate_admissible(HSequence((), 3), 6)
+        want = sorted(classes.items(), key=lambda kv: kv[0].pairs)
+        assert json.loads(res.output)["classes"] == [
+            {"S": S.to_json(), "count": c} for S, c in want
+        ]
+
     def test_poincare(self, runner):
         res = runner.invoke(
             main,

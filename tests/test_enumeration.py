@@ -113,6 +113,14 @@ class TestBkAndAStar:
     def test_a_star_counts(self):
         assert [len(A_star_set(H2, S_QUAD, k)) for k in range(3)] == [0, 2, 1]
 
+    def test_a_star_empty_below_zero(self):
+        # range(hm, hm + k) is empty for every k <= 0, so a negative k
+        # must not fall through to the A*_0 words
+        S = PairSet([(1, 2)])
+        assert len(A_star_set(H2, S, 0)) == 1
+        assert A_star_set(H2, S, -1) == []
+        assert A_star_set(H2, S_QUAD, -2) == []
+
     def test_a_star_sets_disjoint_interval_condition(self):
         # members whose high entries form a non-initial subset of
         # [h(m), N] (here {5} instead of {4}) belong to no A*_k

@@ -119,6 +119,49 @@ class TestPairSet:
         assert PairSet.from_json(S.to_json()) == S
 
 
+class TestPairSetIsItsSortedTuple:
+    S = PairSet([(2, 4), (1, 3), (2, 3)])
+
+    def test_is_the_plain_tuple_of_its_pairs(self):
+        assert isinstance(self.S, tuple)
+        assert self.S == ((1, 3), (2, 3), (2, 4)) == self.S.pairs
+        assert hash(self.S) == hash(((1, 3), (2, 3), (2, 4)))
+        assert type(self.S.pairs) is tuple
+
+    def test_sorts_like_its_pairs(self):
+        window = possible_pairs(HSequence((), 2), 4)
+        sets = [
+            PairSet(c)
+            for r in range(len(window) + 1)
+            for c in itertools.combinations(reversed(window), r)
+        ]
+        assert sorted(sets) == sorted(sets, key=lambda S: S.pairs)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.S.pairs = ()
+        with pytest.raises(AttributeError):
+            self.S.extra = 1
+
+    def test_pickles_at_every_protocol(self):
+        import pickle
+
+        # protocols 0 and 1 rebuild through copyreg, not through __new__
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(self.S, protocol))
+            assert type(copy) is PairSet and copy == self.S
+
+    def test_membership_of_an_unhashable_value(self):
+        assert (1, 3) in self.S
+        assert [1, 3] not in self.S
+
+    def test_still_validates(self):
+        with pytest.raises(InputError):
+            PairSet([(2, 1)])
+        with pytest.raises(InputError):
+            PairSet([(0, 2)])
+
+
 class TestWindowAndInversions:
     def test_possible_pairs_tail1_is_descent_pairs(self):
         assert possible_pairs(HSequence((), 1), 4).pairs == (
