@@ -12,8 +12,13 @@ lexicographic order, the linear extensions of the order that S puts on
 the positions: over all of S_n for the oracle entry
 points, and for the fiber base points and coefficient sets only the
 words that increase after the maximum descent, as every member of the
-target set does.  Listings return word tuples; only the entry point
-enumerate_Ih makes them Permutations.  The kernels are in invpoly.kernels.
+target set does.  B_k_set lists B_k(S, n) directly, with value k pinned
+at position h(m) inside that search, so each of the m+1 calls of
+b_q_coefficients lists only its own words; a pinned search can dead-end,
+but never past the pinned value.  A set's mask is one lookup per pair in
+a pair -> bit index of the window, cached per window.  Listings return
+word tuples; only the entry point enumerate_Ih makes them Permutations.
+The kernels are in invpoly.kernels.
 
 a_counts lists nothing: it counts the a-window m+h(m)-1 over the order
 ideals of that same order (posets.ideal_step), and never calls a kernel.
@@ -23,6 +28,7 @@ A_star_set still lists the window, and serves as its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from invpoly import config, kernels
 from invpoly.errors import BoundExceededError, InputError
@@ -44,11 +50,21 @@ def _check_bound(n: int) -> None:
         )
 
 
-def _mask_of(S: PairSet, window: tuple[tuple[int, int], ...]) -> int | None:
-    """Bitmask of S relative to the candidate-pair window; None if S leaks."""
-    s_pairs = set(S)
-    mask = sum(1 << b for b, p in enumerate(window) if p in s_pairs)
-    return mask if mask.bit_count() == len(s_pairs) else None
+@lru_cache(maxsize=256)
+def _pair_bits(h: HSequence, n: int) -> dict[tuple[int, int], int]:
+    """pair -> its bit in masks over the window possible_pairs(h, n).
+    Cached per window, as the window itself is."""
+    return {p: 1 << b for b, p in enumerate(possible_pairs(h, n))}
+
+
+def _mask_of(S: PairSet, h: HSequence, n: int) -> int | None:
+    """Bitmask of S over the window possible_pairs(h, n); None if S leaks
+    out of it.  One lookup per pair of S."""
+    bits = _pair_bits(h, n)
+    try:
+        return sum(bits[p] for p in S)  # distinct bits: the sum is the union
+    except KeyError:
+        return None
 
 
 def _decoder(window: tuple[tuple[int, int], ...]):
@@ -80,25 +96,26 @@ def _decoder(window: tuple[tuple[int, int], ...]):
 def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:
     """All permutations of [n] with restricted inversion set exactly S."""
     _check_bound(n)
-    window = possible_pairs(h, n)
-    mask = _mask_of(S, window)
+    mask = _mask_of(S, h, n)
     if mask is None:
         return []
-    perms = kernels.matching_perms(n, window, mask)
+    perms = kernels.matching_perms(n, possible_pairs(h, n), mask)
     return [Permutation(p) for p in perms]
 
 
-def enumerate_Ih_structured(h: HSequence, S: PairSet, n: int) -> list[tuple[int, ...]]:
+def enumerate_Ih_structured(
+    h: HSequence, S: PairSet, n: int, at: tuple[int, int] | None = None,
+) -> list[tuple[int, ...]]:
     """The words of enumerate_Ih for nonempty admissible S, sweeping only
     words that increase after position m(S).  Not bound-capped: the sweep
-    size is n!/(n-m)!, not n!."""
+    size is n!/(n-m)!, not n!.  at = (position, value), a position after
+    m(S), lists only the words that take value there (the kernel's pin)."""
     if not S:
-        return [tuple(range(1, n + 1))]
-    window = possible_pairs(h, n)
-    mask = _mask_of(S, window)
+        return [tuple(range(1, n + 1))] if at is None or at[0] == at[1] else []
+    mask = _mask_of(S, h, n)
     if mask is None:
         return []
-    return kernels.matching_perms_sorted_suffix(n, S.m(), window, mask)
+    return kernels.matching_perms_sorted_suffix(n, S.m(), possible_pairs(h, n), mask, at)
 
 
 def t_of(sigma: tuple[int, ...], h: HSequence, S: PairSet) -> int:
@@ -123,11 +140,13 @@ def fiber_data(h: HSequence, S: PairSet) -> list[FiberDatum]:
 
 
 def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[tuple[int, ...]]:
-    """Words of I_h(S, n) whose entry at position h(m(S)) equals k."""
+    """Words of I_h(S, n) whose entry at position h(m(S)) equals k, in
+    lexicographic order: listed directly, with k pinned at h(m), not
+    filtered out of I_h(S, n).  Empty unless h(m)-m <= k <= h(m)."""
     hm = h.h(S.m())
     if n < hm:
         raise InputError(f"B_k sets need n >= h(m) = {hm}, got n={n}")
-    return [w for w in enumerate_Ih_structured(h, S, n) if w[hm - 1] == k]
+    return enumerate_Ih_structured(h, S, n, (hm, k))
 
 
 def b_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:

@@ -21,8 +21,11 @@ repeated call sweeps again.
 Matching lists the permutations with a given mask exactly, as the linear
 extensions of the order that the mask puts on the positions (_match): a
 mask whose order has a cycle is rejected before any search, and
-otherwise every branch of the search ends in a match.  The matches come
-out sorted.
+otherwise, with no pinned value, every branch of the search ends in a
+match.  The sorted-suffix listing can also pin one suffix position to
+one value, and then lists only the words that take it; a pinned search
+can dead-end, but no branch outlives the placing of the pinned value.
+The matches come out sorted.
 """
 
 import itertools
@@ -157,18 +160,24 @@ def matching_perms(n, pairs, target):
     return _match(n, n, pairs, target)
 
 
-def matching_perms_sorted_suffix(n, m, pairs, target):
+def matching_perms_sorted_suffix(n, m, pairs, target, at=None):
     """Like matching_perms, restricted to words increasing after position m.
 
     Only valid when every matching permutation is known to have that shape
     (true when target encodes an admissible set with maximum descent m).
+    at = (position, value), a position m < position <= n of the sorted
+    suffix, keeps only the words that take value there.
     """
-    return _match(n, m, pairs, target)
+    if at is not None and not m < at[0] <= n:
+        raise ValueError(f"pinned position {at[0]} is not in the suffix {m + 1}..{n}")
+    return _match(n, m, pairs, target, at)
 
 
-def _match(n, m, pairs, target):
+def _match(n, m, pairs, target, at=None):
     """Permutations of [n] increasing after position m whose inversion
-    bitmask over pairs equals target, in lexicographic order.
+    bitmask over pairs equals target, in lexicographic order; with
+    at = (position, value), only those that take value at that position
+    of the sorted suffix.
 
     These are the linear extensions of one relation on the positions: the
     entry at j lies below the entry at i for each pair (i, j) in target,
@@ -177,10 +186,13 @@ def _match(n, m, pairs, target):
     that gets stuck it has a cycle (a non-admissible mask, or a suffix pair
     that target inverts) and nothing matches.  Otherwise the values 1, 2,
     ..., n are given in turn, each to an empty position whose lower
-    positions are all filled, so every branch ends in a match (Varol &
-    Rotem 1981).
+    positions are all filled.  With no pin (at None) every branch ends in a
+    match (Varol & Rotem 1981).  A pinned value that the sorted suffix
+    cannot take there, outside position-m .. position, matches nothing.
     """
-    if target >> len(pairs):
+    # no pin: a virtual position past the word, taking a value past n
+    position, value = at or (n + 1, n + 1)
+    if target >> len(pairs) or not position - m <= value <= position:
         return []
     lower = [0] * n  # lower[p]: positions whose entries must be below p's
     for bit, (i, j) in enumerate(pairs):
@@ -199,18 +211,25 @@ def _match(n, m, pairs, target):
         if done == peeled:
             return []
     out = []
-    _extend(1, 0, m, [0] * n, lower, (1 << m) - 1, out)
+    _extend(1, 0, m, [0] * n, lower, (1 << m) - 1, position - 1, value, out)
     out.sort()
     return out
 
 
-def _extend(value, filled, k, word, lower, head, out):
+def _extend(value, filled, k, word, lower, head, q, v, out):
     """Give value and every larger one to the empty positions of word.
 
     head is the bitmask of the first m positions and k the first empty
     position of the sorted suffix, the only suffix position that can take
     a value next.  Once the head is filled, positions k, k+1, ... take the
     remaining values in order.
+
+    Position q of the sorted suffix (0-based) must take value v.  Below v,
+    the suffix may not reach q, and the head may take at most
+    v-1 - (q-m) values (a head position takes value only if
+    value - k < v - q); so v finds k = q and goes there, not to the head.
+    The default pin, q = n and v = n+1, never fires, and the search then
+    has no dead ends.  A pinned search dead-ends no later than at v.
 
     A module-level function rather than a closure in _match: a closure that
     calls itself is a reference cycle, which would keep each call's state
@@ -220,11 +239,16 @@ def _extend(value, filled, k, word, lower, head, out):
         word[k:] = range(value, len(word) + 1)
         out.append(tuple(word))
         return
-    for p in range(head.bit_length()):
-        below = lower[p]
-        if not filled >> p & 1 and below & filled == below:
-            word[p] = value
-            _extend(value + 1, filled | 1 << p, k, word, lower, head, out)
-    if k < len(word) and lower[k] & filled == lower[k]:
+    if value < v:
+        to_head, to_suffix = value - k < v - q, k < q
+    else:
+        to_head, to_suffix = value > v, k < len(word)
+    if to_head:
+        for p in range(head.bit_length()):
+            below = lower[p]
+            if not filled >> p & 1 and below & filled == below:
+                word[p] = value
+                _extend(value + 1, filled | 1 << p, k, word, lower, head, q, v, out)
+    if to_suffix and lower[k] & filled == lower[k]:
         word[k] = value
-        _extend(value + 1, filled | 1 << k, k + 1, word, lower, head, out)
+        _extend(value + 1, filled | 1 << k, k + 1, word, lower, head, q, v, out)

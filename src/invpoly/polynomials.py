@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -343,18 +344,37 @@ def is_pf2(values: Sequence[int]) -> bool:
 def q_seq_strongly_log_concave(fs: Sequence[QPoly]) -> bool:
     """Coefficientwise f_i f_j - f_{i-1} f_{j+1} >= 0 for all i <= j.
 
-    Out-of-range entries are the zero polynomial.  Each product f_a f_b
-    with a <= b is formed once, on coefficient tuples: row i holds the
-    products f_i f_j, and f_{i-1} f_{j+1} is read from the row before.
+    Out-of-range entries are the zero polynomial.  Each f is split once
+    into its valuation and its coefficients from there on, so products
+    convolve only those, and two products are compared after padding them
+    to the same lowest degree and the same length.  Each product f_a f_b
+    with a <= b is formed once: row i holds (valuation, coefficients) of
+    f_i f_j for j >= i, and f_{i-1} f_{j+1} is read from the row before.
     """
-    cs = [f.coeffs for f in fs]
-    prev: dict[int, tuple[int, ...]] = {}
-    for i, fi in enumerate(cs):
-        row = {j: _convolve(fi, cs[j]) for j in range(i, len(cs))}
-        for j, big in row.items():
-            small = prev.get(j + 1, ())
-            if any(x < y for x, y in
-                   itertools.zip_longest(big, small, fillvalue=0)):
+    trimmed = [_trim(f.coeffs) for f in fs]
+    prev: list[tuple[int, tuple[int, ...]]] = []
+    for i, (vi, fi) in enumerate(trimmed):
+        row = [(vi + vj, _convolve(fi, fj)) for vj, fj in trimmed[i:]]
+        for t, (vb, big) in enumerate(row):  # f_i f_j, j = i + t
+            vs, small = prev[t + 2] if t + 2 < len(prev) else (vb, ())
+            if vb > vs:
+                big = (0,) * (vb - vs) + big
+            else:
+                small = (0,) * (vs - vb) + small
+            extra = len(big) - len(small)
+            if extra > 0:
+                small += (0,) * extra
+            else:
+                big += (0,) * -extra
+            if any(map(operator.lt, big, small)):
                 return False
         prev = row
     return True
+
+
+def _trim(cs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(valuation, the coefficients from it on) of a coefficient tuple."""
+    v = 0
+    while v < len(cs) and cs[v] == 0:
+        v += 1
+    return v, cs[v:]

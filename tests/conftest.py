@@ -10,6 +10,12 @@ CORPUS_H = [
     HSequence((5, 5, 6, 6), 1),
 ]
 
+
+def h_id(h):
+    """A short test id for an h: prefix-5566, tail3."""
+    return f"prefix-{''.join(map(str, h.prefix))}" if h.prefix else f"tail{h.tail_offset}"
+
+
 # The h of the windows beyond an S_n sweep, drawn from with draw().
 HS = [HSequence((), 2), HSequence((), 3), HSequence((5, 5, 6, 6), 1)]
 H_IDS = ["tail2", "tail3", "prefix-5566"]

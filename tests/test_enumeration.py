@@ -23,9 +23,12 @@ from invpoly import (
     poincare,
     t_of,
 )
+from invpoly import enumeration
 from invpoly.enumeration import enumerate_Ih_structured
 from invpoly.errors import BoundExceededError, InputError
 from invpoly.polynomials import QPoly
+
+from conftest import CORPUS_H, h_id
 
 H2 = HSequence((), 2)
 H3 = HSequence((), 3)
@@ -82,6 +85,17 @@ class TestEnumerateIh:
         assert enumerate_Ih_structured(H2, PairSet(), 3) == [
             Permutation.identity(3).word
         ]
+        assert enumerate_Ih_structured(H2, PairSet(), 3, (2, 2)) == [(1, 2, 3)]
+        assert enumerate_Ih_structured(H2, PairSet(), 3, (2, 1)) == []
+
+    def test_sets_leaking_out_of_the_window_list_nothing(self):
+        # (1, 4) lies outside the tail-2 window: alone, and beside pairs inside it
+        partly = PairSet([(1, 2), (1, 3), (1, 4)])
+        for S in (PairSet([(1, 4)]), partly):
+            assert enumeration._mask_of(S, H2, 5) is None
+            assert enumerate_Ih(H2, S, 5) == []
+        assert enumerate_Ih_structured(H2, partly, 5) == []
+        assert B_k_set(H2, partly, 5, 3) == []
 
 
 class TestFiberData:
@@ -105,6 +119,20 @@ class TestBkAndAStar:
     def test_b_k_members_end_correctly(self):
         for w in B_k_set(H3, S_FIVE, 8, 7):
             assert w[7] == 7
+
+    @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+    def test_b_k_set_is_the_filtered_listing(self, h):
+        # every admissible S with j <= 7, and every k from h(m)-m-1 to h(m)+1;
+        # at n = h(m)+1 the pinned position is not the last one
+        for S in enumerate_admissible(h, 7):
+            if not S:
+                continue
+            m = S.m()
+            hm = h.h(m)
+            for n in (hm, hm + 1):
+                listing = enumerate_Ih_structured(h, S, n)
+                for k in range(hm - m - 1, hm + 2):
+                    assert B_k_set(h, S, n, k) == [w for w in listing if w[hm - 1] == k]
 
     def test_b_k_rejects_small_window(self):
         with pytest.raises(InputError):

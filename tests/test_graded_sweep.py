@@ -13,7 +13,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from conftest import CORPUS_H
+from conftest import CORPUS_H, h_id
 from invpoly import (
     HSequence,
     PairSet,
@@ -27,10 +27,6 @@ from invpoly.cli import main, run_invariant_suite
 from invpoly.errors import BoundExceededError
 
 H3 = HSequence((), 3)
-
-
-def h_id(h):
-    return f"prefix-{''.join(map(str, h.prefix))}" if h.prefix else f"tail{h.tail_offset}"
 
 
 def graded_grouping(n, pairs):

@@ -3,6 +3,7 @@
 Counts are checked against the order-ideal count of the induced poset
 (posets.height_sequence), which shares no code with the kernels, and each
 returned word is checked against the definition through model.inv_h.
+The pinned listing is checked the same way, one value at a time.
 """
 
 import random
@@ -29,6 +30,12 @@ def test_sorted_suffix_matches_poset_count(h, hm):
         assert word in got
         assert all(inv_h(h, Permutation(w)) == S for w in got)
         assert all(a < b for a, b in zip(got, got[1:]))
+        # pinned at h(m) = hm: the words with k-1 values below hm's entry
+        heights = height_sequence(build_poset(h, S), hm)
+        for k in range(1, hm + 1):
+            pinned = kernels.matching_perms_sorted_suffix(hm, m, window, mask, (hm, k))
+            assert len(pinned) == heights[k - 1]
+            assert pinned == [w for w in got if w[hm - 1] == k]
 
 
 def test_cyclic_mask_returns_nothing_without_search(monkeypatch):
@@ -42,3 +49,12 @@ def test_cyclic_mask_returns_nothing_without_search(monkeypatch):
     monkeypatch.setattr(kernels, "_extend", search)
     assert kernels.matching_perms(16, window, mask) == []
     assert kernels.matching_perms_sorted_suffix(16, 2, window, mask) == []
+    for k in range(2, 5):
+        assert kernels.matching_perms_sorted_suffix(16, 2, window, mask, (4, k)) == []
+
+
+def test_pinned_position_must_lie_in_the_suffix():
+    window = possible_pairs(HSequence((), 2), 6).pairs
+    for position in (2, 7):
+        with pytest.raises(ValueError):
+            kernels.matching_perms_sorted_suffix(6, 2, window, 0, (position, 3))

@@ -211,3 +211,34 @@ class TestSequenceAnalyzers:
         verdicts = [q_seq_strongly_log_concave(fs) for fs in seqs]
         assert verdicts == [reference(fs) for fs in seqs]
         assert verdicts[0] and verdicts.count(False) > 0
+
+    def test_strong_q_log_concavity_on_shifted_factors(self):
+        # factors with long runs of leading zeros, zero factors, and
+        # sequences of length 0 and 1, against the plain QPoly products
+        def reference(fs):
+            def at(p):
+                return fs[p] if 0 <= p < len(fs) else QPoly.zero()
+
+            return all(
+                (at(i) * at(j) - at(i - 1) * at(j + 1)).is_nonnegative()
+                for i in range(len(fs))
+                for j in range(i, len(fs))
+            )
+
+        def factor(rng):
+            if rng.random() < 0.15:
+                return QPoly.zero()
+            zeros = rng.choice([0, 1, 2, 5, 9])
+            return QPoly((0,) * zeros + tuple(
+                rng.randint(-1, 3) for _ in range(rng.randint(1, 4))
+            ))
+
+        rng = random.Random(1729)
+        seqs = [[], [QPoly.zero()], [QPoly.monomial(7)],
+                [QPoly.monomial(5, -1), QPoly.one()]]
+        for _ in range(2000):
+            seqs.append([factor(rng) for _ in range(rng.randint(0, 6))])
+        verdicts = [q_seq_strongly_log_concave(fs) for fs in seqs]
+        assert verdicts == [reference(fs) for fs in seqs]
+        assert verdicts[:4] == [True, True, True, False]
+        assert 0 < verdicts.count(False) < len(seqs)
