@@ -20,23 +20,26 @@ a pair -> bit index of the window, cached per window.  Listings return
 word tuples; only the entry point enumerate_Ih makes them Permutations.
 The kernels are in invpoly.kernels.
 
-a_counts lists nothing: it counts the a-window m+h(m)-1 over the order
-ideals of that same order (posets.ideal_step), and never calls a kernel.
-A_star_set still lists the window, and serves as its oracle.
+fiber_data maps each base point of I_h(S, j(S)) to its t-value, in the
+lister's order.  a_counts lists nothing: it counts the a-window
+m+h(m)-1 over the order ideals of that same order (posets.ideal_step),
+and never calls a kernel; an inadmissible set counts zero through the
+one cached check, model.require_admissible.  A_star_set still lists the
+window, and serves as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from invpoly import config, kernels
-from invpoly.errors import BoundExceededError, InputError
+from invpoly.errors import BoundExceededError, InadmissibleSetError, InputError
 from invpoly.model import (
     HSequence,
     PairSet,
     Permutation,
     possible_pairs,
+    require_admissible,
 )
 from invpoly.polynomials import QPoly
 from invpoly.posets import ideal_step
@@ -124,19 +127,14 @@ def t_of(sigma: tuple[int, ...], h: HSequence, S: PairSet) -> int:
     return max(sigma[k - 1] for k in range(1, j + 1) if h.h(k) >= j + 1)
 
 
-@dataclass(frozen=True)
-class FiberDatum:
-    sigma: tuple[int, ...]  # the base point's word
-    t_value: int
-
-
-def fiber_data(h: HSequence, S: PairSet) -> list[FiberDatum]:
-    """One datum per element of I_h(S, j(S)), S nonempty and admissible:
-    the base point and its t-value.  Listed with no brute-force cap."""
-    return [
-        FiberDatum(sigma, t_of(sigma, h, S))
+def fiber_data(h: HSequence, S: PairSet) -> dict[tuple[int, ...], int]:
+    """Each base point of I_h(S, j(S)), S nonempty and admissible, mapped
+    to its t-value, in the lister's (lexicographic) order.  Listed with no
+    brute-force cap."""
+    return {
+        sigma: t_of(sigma, h, S)
         for sigma in enumerate_Ih_structured(h, S, S.j())
-    ]
+    }
 
 
 def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[tuple[int, ...]]:
@@ -164,32 +162,34 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
 
     The members of I_h(S, n), n = m + h(m) - 1, are the linear extensions
     of an order on the positions: for each window pair (i, j), j below i
-    if (i, j) is in S and i below j otherwise.  m is the last descent, so
-    no pair (p, p+1) with p > m is in S, and m+1 < m+2 < ... < n follows.
-    Giving the values 1, 2, ... in turn, a word lies in A*_k exactly when
-    the values h(m) .. h(m)+k-1 go to the k head positions (1 .. m) left
-    empty by the values below h(m), and the rest fill the suffix in order.
-    So a_k sums, over the ideals D reached after h(m)-1 values with k head
-    positions empty, e(D) times the head-only paths from D to D + head,
-    where the suffix can then be completed.  An order with a cycle, or an
-    S that leaks out of the window, completes nothing and counts zero.
+    if (i, j) is in S and i below j otherwise.  Giving the values 1, 2, ...
+    in turn, a word lies in A*_k exactly when the values h(m) .. h(m)+k-1
+    go to the k head positions (1 .. m) left empty by the values below
+    h(m), and the rest fill the suffix in order.  So a_k sums, over the
+    ideals D reached after h(m)-1 values with k head positions empty,
+    e(D) times the head-only paths from D to D + head.  Every such path
+    ends in a word: m is the last descent of an admissible S, so no pair
+    of S starts after m, and every other pair puts a suffix position above
+    an earlier one; once the head is full, the suffix fills in order.
+    An inadmissible S counts zero, through the one cached check
+    (model.require_admissible) that the routes of a set share.
     Nothing is listed: the cost follows the ideals, at most 2^m h(m).
     """
     m = S.m()
     hm = h.h(m)
     n = m + hm - 1
     counts = [0] * (m + 1)
+    try:
+        require_admissible(h, S)
+    except InadmissibleSetError:
+        return tuple(counts)
     s_pairs = set(S)
     lower = [0] * n  # lower[p]: positions whose entries must be below p's
-    inside = 0
     for i, j in possible_pairs(h, n):
         if (i, j) in s_pairs:
             lower[i - 1] |= 1 << (j - 1)
-            inside += 1
         else:
             lower[j - 1] |= 1 << (i - 1)
-    if inside < len(s_pairs):
-        return tuple(counts)
     steps = [(1 << p, low) for p, low in enumerate(lower)]
     layer = {0: 1}
     for _ in range(hm - 1):
@@ -197,20 +197,10 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     head, head_steps = (1 << m) - 1, steps[:m]
     while layer:
         for ideal, count in layer.items():
-            if ideal & head == head and _completes(ideal, lower, m):
+            if ideal & head == head:
                 counts[ideal.bit_count() - (hm - 1)] += count
         layer = ideal_step(layer, head_steps)
     return tuple(counts)
-
-
-def _completes(ideal: int, lower: list[int], m: int) -> bool:
-    """Whether the empty suffix positions of ideal fill in order."""
-    for p in range(m, len(lower)):
-        if not ideal >> p & 1:
-            if lower[p] & ~ideal:
-                return False
-            ideal |= 1 << p
-    return True
 
 
 def A_star_set(h: HSequence, S: PairSet, k: int) -> list[tuple[int, ...]]:
@@ -261,14 +251,9 @@ def poincare(h: HSequence, n: int) -> QPoly:
     """
     _check_bound(n)
     window = possible_pairs(h, n)
-    counts = kernels.admissible_counts(n, window)
-    exps: dict[int, int] = {}
-    for mask, c in counts.items():
-        e = 2 * mask.bit_count()
-        exps[e] = exps.get(e, 0) + c
-    cs = [0] * (max(exps) + 1 if exps else 1)
-    for e, c in exps.items():
-        cs[e] = c
+    cs = [0] * (2 * len(window) + 1)
+    for mask, c in kernels.admissible_counts(n, window).items():
+        cs[2 * mask.bit_count()] += c
     return QPoly(tuple(cs))
 
 

@@ -9,6 +9,7 @@ that floor raises, while raw polynomial evaluation is always available.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from invpoly.enumeration import a_counts, b_counts, fiber_data
@@ -58,16 +59,14 @@ def _empty_result(basis: str) -> ExpansionResult:
 
 
 def fiber_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
-    """One term binom(n - t(sigma), j - t(sigma)) per base point sigma."""
+    """One term binom(n - t(sigma), j - t(sigma)) per base point sigma,
+    gathered as c * binom(n - t, j - t) over the c base points at each t."""
     if not S:
         return _empty_result("fiber")
     require_admissible(h, S)
     j = S.j()
-    data = fiber_data(h, S)
-    terms = tuple((1, fd.t_value, j - fd.t_value) for fd in data)
-    t_counts: dict[int, int] = {}
-    for fd in data:
-        t_counts[fd.t_value] = t_counts.get(fd.t_value, 0) + 1
+    t_counts = Counter(fiber_data(h, S).values())
+    terms = tuple((c, t, j - t) for t, c in t_counts.items())
     lo = min(t_counts)
     coeffs = CoeffSeq(
         tuple(t_counts.get(t, 0) for t in range(lo, max(t_counts) + 1)), lo

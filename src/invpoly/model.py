@@ -178,13 +178,14 @@ class PairSet(tuple):
         return max(j for _, j in self)
 
     def m(self) -> int:
-        """Largest i with (i, i+1) in the set (the maximum descent)."""
-        descents = [i for i, j in self if j == i + 1]
-        if not descents:
-            if not self:
-                raise InputError("m(S) is undefined for the empty set")
-            raise NoDescentError(f"{self} contains no descent pair")
-        return max(descents)
+        """Largest i with (i, i+1) in the set (the maximum descent): the
+        first such pair from the end, as the pairs are sorted."""
+        for i, j in reversed(self):
+            if j == i + 1:
+                return i
+        if not self:
+            raise InputError("m(S) is undefined for the empty set")
+        raise NoDescentError(f"{self} contains no descent pair")
 
     def to_json(self) -> list[list[int]]:
         return [[i, j] for i, j in self]

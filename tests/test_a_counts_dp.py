@@ -22,9 +22,11 @@ from invpoly import (
     enumerate_admissible,
     enumeration,
     kernels,
+    model,
 )
 from invpoly.cli import main
 from invpoly.enumeration import a_counts, b_counts, enumerate_Ih_structured
+from invpoly.errors import NoDescentError
 from invpoly.polynomials import CoeffSeq
 
 from conftest import CORPUS_H, H_IDS, HS, draw
@@ -65,13 +67,37 @@ def test_equals_the_b_route_beyond_the_sweep(h, hm):
 @pytest.mark.parametrize("tail,pairs", [
     (2, [(1, 2), (2, 3)]),  # pi1 > pi2 > pi3 > pi1: a cycle in the head
     (2, [(1, 2), (1, 9)]),  # (1, 9) lies outside the window of m = 1
-    # (6, 8) inverts the suffix after m = 3: positions 1 .. 5 take the
-    # values 1 .. 5, filling the head, and then 6, 7, 8 cannot be filled
+    # (6, 8) starts after m = 3, which no admissible set's pair does: the
+    # shared admissibility check refuses it, and the sweep finds no word
+    # with pi6 > pi8 that increases after position 3
     (3, [(3, 4), (6, 8)]),
+    (2, [(1, 3), (2, 4)]),  # no descent: no m, so nothing to count
 ])
 def test_inadmissible_sets_count_zero_like_the_sweep(tail, pairs):
     h, S = HSequence((), tail), PairSet(pairs)
+    if not any(j == i + 1 for i, j in S):
+        for count in (a_counts, listed_a_counts):
+            with pytest.raises(NoDescentError):
+                count(h, S)
+        return
     assert a_counts(h, S) == listed_a_counts(h, S) == (0,) * (S.m() + 1)
+
+
+def test_a_route_checks_admissibility_once(monkeypatch):
+    # a_counts reuses a_expansion's cached check instead of its own tests
+    h, S = HSequence((), 2), PairSet([(1, 3), (2, 3), (2, 4)])
+    want = listed_a_counts(h, S)
+    checked = []
+    check = model.is_admissible
+
+    def counted(h, S):
+        checked.append(S)
+        return check(h, S)
+
+    model.require_admissible.cache_clear()
+    monkeypatch.setattr(model, "is_admissible", counted)
+    assert a_expansion(h, S).coeffs.values == want
+    assert checked == [S]
 
 
 def test_equals_the_listed_A_star_sets():

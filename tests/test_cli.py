@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from invpoly import (
     HSequence,
     PairSet,
+    QPoly,
     b_expansion,
     enumerate_admissible,
     errors,
@@ -309,6 +310,48 @@ class TestOtherCommands:
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
         assert res.exit_code == 5
         assert res.output.startswith("error: ")
+
+    def test_violation_report_end_to_end(self, runner, monkeypatch):
+        # forge (1+q, 1, 1+q), which is not strongly q-log-concave, as the
+        # graded coefficients of the m = 2 sets; the others stay real
+        h, real = HSequence((), 2), graded.b_q_coefficients
+        forged_seq = (QPoly((1, 1)), QPoly.one(), QPoly((1, 1)))
+
+        def forged(h, S):
+            if S.m() == 2:
+                return graded.GradedExpansion(h.h(2), 2, forged_seq)
+            return real(h, S)
+
+        monkeypatch.setattr(graded, "b_q_coefficients", forged)
+        # the first failing pair of the plain formula b_i b_j - b_(i-1) b_(j+1)
+        at = lambda p: forged_seq[p] if 0 <= p < 3 else QPoly.zero()
+        first = None
+        for i in range(3):
+            for j in range(i, 3):
+                diff = at(i) * at(j) - at(i - 1) * at(j + 1)
+                if first is None and not diff.is_nonnegative():
+                    first = (i, j, diff)
+        i, j, diff = first
+        start = h.h(2) - 2  # the index of b_q[0]
+        forged_sets = sorted(
+            S for S in enumerate_admissible(h, 5) if S and S.m() == 2
+        )
+        want = [
+            {"S": S.to_json(), "i": i + start, "j": j + start,
+             "difference": diff.to_json()}
+            for S in forged_sets
+        ]
+        assert want
+
+        res = runner.invoke(
+            main, ["verify-conjecture", "--h", H2, "--cap", "5", "--json-out"]
+        )
+        assert res.exit_code == 1, res.output
+        assert json.loads(res.output)["violations"] == want
+
+        res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
+        assert res.exit_code == 1, res.output
+        assert f"strong q-log-concavity violations: {want}" in res.output
 
     def test_verify_checks_each_set_once(self, monkeypatch):
         h = HSequence((), 2)

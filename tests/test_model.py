@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from invpoly import (
     is_h_closed,
     possible_pairs,
 )
-from invpoly.errors import InputError, NoDescentError
+from invpoly.errors import InputError, InvpolyError, NoDescentError
 from invpoly.model import length
 
 
@@ -107,6 +108,27 @@ class TestPairSet:
     def test_m_requires_a_descent(self):
         with pytest.raises(NoDescentError):
             PairSet([(1, 3)]).m()
+
+    def test_m_is_the_largest_descent(self):
+        # against the list of descents that m() used to build on every call
+        rng = random.Random("PairSet.m")
+        seen = {"empty": 0, "no descent": 0, "descent": 0}
+        for _ in range(3000):
+            n = rng.randint(2, 9)
+            pool = list(itertools.combinations(range(1, n + 1), 2))
+            if rng.random() < 0.4:  # descent-free sets, the empty one too
+                pool = [(i, j) for i, j in pool if j > i + 1]
+            S = PairSet(rng.sample(pool, rng.randint(0, min(len(pool), 12))))
+            descents = [i for i, j in S if j == i + 1]
+            if descents:
+                seen["descent"] += 1
+                assert S.m() == max(descents), S
+                continue
+            seen["no descent" if S else "empty"] += 1
+            with pytest.raises(InvpolyError) as exc:
+                S.m()
+            assert exc.type is (NoDescentError if S else InputError), S
+        assert min(seen.values()) >= 100, seen
 
     def test_immutable_and_hashable(self):
         S = PairSet([(1, 2)])

@@ -117,13 +117,12 @@ def test_fiber_partition_sizes(h):
             by_base = {}
             for pi in members:
                 by_base.setdefault(pi.flatten(j).word, []).append(pi)
-            assert set(by_base) <= {fd.sigma for fd in data}
+            assert set(by_base) <= set(data)
             assert sum(len(v) for v in by_base.values()) == len(members)
             # each fiber has the predicted binomial size
-            for fd in data:
-                t = fd.t_value
+            for sigma, t in data.items():
                 want = BinomialPoly(((1, t, j - t),))(n)
-                assert len(by_base.get(fd.sigma, [])) == want
+                assert len(by_base.get(sigma, [])) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,5 +202,6 @@ def test_t_of_bounded_by_j():
     for S in enumerate_admissible(h, 5):
         if not S:
             continue
-        for fd in fiber_data(h, S):
-            assert 1 <= t_of(fd.sigma, h, S) <= S.j()
+        for sigma, t in fiber_data(h, S).items():
+            assert t == t_of(sigma, h, S)
+            assert 1 <= t <= S.j()
