@@ -34,7 +34,7 @@ from invpoly import (
     polynomials,
     posets,
 )
-from invpoly.errors import InadmissibleSetError, InputError, InvpolyError
+from invpoly.errors import InputError, InvpolyError
 
 EXIT_VERIFY_FAILED = 1
 
@@ -106,8 +106,8 @@ def cmd_eval(h, s, n, json_file, want_perms, json_out):
     hseq, S, n = _load_problem(h, s, n, json_file)
     if S is None or n is None:
         raise InputError("eval needs both S and n")
-    if not model.is_admissible(hseq, S):
-        raise InadmissibleSetError(f"{S} is not h-admissible")
+    if S:  # the empty set is admissible, but require_admissible refuses it
+        model.require_admissible(hseq, S)
     if want_perms:
         perms = enumeration.enumerate_Ih(hseq, S, n)
         payload = {"S": S.to_json(), "n": n,
@@ -121,8 +121,7 @@ def cmd_eval(h, s, n, json_file, want_perms, json_out):
         count = len(enumeration.enumerate_Ih(hseq, S, n))
         payload["methods"]["brute_force"] = count
         lines.append(f"brute force: {count}")
-    for make in (expansions.fiber_expansion, expansions.b_expansion,
-                 expansions.a_expansion):
+    for make in expansions.ROUTES.values():
         res = make(hseq, S)
         value = res.eval_raw(n)
         below = n < res.validity_floor
@@ -139,17 +138,14 @@ def cmd_eval(h, s, n, json_file, want_perms, json_out):
 @h_opt
 @s_opt
 @json_opt
-@click.option("--basis", type=click.Choice(["fiber", "b", "a"]), default="b")
+@click.option("--basis", type=click.Choice(list(expansions.ROUTES)), default="b")
 @out_opt
 def cmd_expand(h, s, json_file, basis, json_out):
     """Closed-form expansion in the chosen binomial basis."""
     hseq, S, _ = _load_problem(h, s, None, json_file)
     if S is None:
         raise InputError("expand needs S")
-    make = {"fiber": expansions.fiber_expansion,
-            "b": expansions.b_expansion,
-            "a": expansions.a_expansion}[basis]
-    res = make(hseq, S)
+    res = expansions.ROUTES[basis](hseq, S)
     human = (
         f"{basis}-expansion: {res.poly}\n"
         f"coefficients: {res.coeffs.to_json()}\n"
@@ -270,7 +266,10 @@ def cmd_verify_conjecture(h, json_file, cap, jobs, json_out):
 def cmd_verify(h, json_file, cap, golden, json_out):
     """Run the cross-checking invariant suite (or the golden replay)."""
     if golden:
-        failures = run_golden()
+        from invpoly import golden as golden_mod
+
+        failures = [note for fx in golden_mod.load_all().values()
+                    for note in golden_mod.replay(fx)]
         if failures:
             for f in failures:
                 click.echo(f"GOLDEN FAIL: {f}")
@@ -337,16 +336,6 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
             failures.append(f"{S}: constancy/degree mismatch")
     if violations:
         failures.append(f"strong q-log-concavity violations: {violations}")
-    return failures
-
-
-def run_golden() -> list[str]:
-    """Replay every bundled worked-example fixture; return mismatch notes."""
-    from invpoly.golden import load_all, replay
-
-    failures = []
-    for fx in load_all().values():
-        failures.extend(replay(fx))
     return failures
 
 

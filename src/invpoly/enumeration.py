@@ -23,9 +23,10 @@ The kernels are in invpoly.kernels.
 fiber_data maps each base point of I_h(S, j(S)) to its t-value, in the
 lister's order.  a_counts lists nothing: it counts the a-window
 m+h(m)-1 over the order ideals of that same order (posets.ideal_step),
-and never calls a kernel; an inadmissible set counts zero through the
-one cached check, model.require_admissible.  A_star_set still lists the
-window, and serves as its oracle.
+and never calls a kernel.  It takes the order on positions 1..h(m) from
+posets.build_poset and adds only the relations past h(m), which S does
+not touch; an inadmissible set, which has no poset, counts zero.
+A_star_set still lists the window, and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -34,15 +35,9 @@ from functools import lru_cache
 
 from invpoly import config, kernels
 from invpoly.errors import BoundExceededError, InadmissibleSetError, InputError
-from invpoly.model import (
-    HSequence,
-    PairSet,
-    Permutation,
-    possible_pairs,
-    require_admissible,
-)
+from invpoly.model import HSequence, PairSet, Permutation, possible_pairs
 from invpoly.polynomials import QPoly
-from invpoly.posets import ideal_step
+from invpoly.posets import build_poset, ideal_step
 
 
 def _check_bound(n: int) -> None:
@@ -161,18 +156,17 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     """Sizes of A*_k for k = 0 .. m, counted over order ideals.
 
     The members of I_h(S, n), n = m + h(m) - 1, are the linear extensions
-    of an order on the positions: for each window pair (i, j), j below i
-    if (i, j) is in S and i below j otherwise.  Giving the values 1, 2, ...
-    in turn, a word lies in A*_k exactly when the values h(m) .. h(m)+k-1
-    go to the k head positions (1 .. m) left empty by the values below
-    h(m), and the rest fill the suffix in order.  So a_k sums, over the
-    ideals D reached after h(m)-1 values with k head positions empty,
-    e(D) times the head-only paths from D to D + head.  Every such path
-    ends in a word: m is the last descent of an admissible S, so no pair
-    of S starts after m, and every other pair puts a suffix position above
-    an earlier one; once the head is full, the suffix fills in order.
-    An inadmissible S counts zero, through the one cached check
-    (model.require_admissible) that the routes of a set share.
+    of an order on the positions: build_poset's order on 1 .. h(m), and
+    each later position above every earlier one its window reaches (no
+    pair of S ends past h(m)).  Giving the values 1, 2, ... in turn, a
+    word lies in A*_k exactly when the values h(m) .. h(m)+k-1 go to the
+    k head positions (1 .. m) left empty by the values below h(m), and
+    the rest fill the suffix in order.  So a_k sums, over the ideals D
+    reached after h(m)-1 values with k head positions empty, e(D) times
+    the head-only paths from D to D + head.  Every such path ends in a
+    word: m is the last descent of an admissible S, so no pair of S
+    starts after m, and every other pair puts a suffix position above an
+    earlier one; once the head is full, the suffix fills in order.
     Nothing is listed: the cost follows the ideals, at most 2^m h(m).
     """
     m = S.m()
@@ -180,15 +174,11 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     n = m + hm - 1
     counts = [0] * (m + 1)
     try:
-        require_admissible(h, S)
+        lower = list(build_poset(h, S).below) + [0] * (n - hm)
     except InadmissibleSetError:
         return tuple(counts)
-    s_pairs = set(S)
-    lower = [0] * n  # lower[p]: positions whose entries must be below p's
     for i, j in possible_pairs(h, n):
-        if (i, j) in s_pairs:
-            lower[i - 1] |= 1 << (j - 1)
-        else:
+        if j > hm:
             lower[j - 1] |= 1 << (i - 1)
     steps = [(1 << p, low) for p, low in enumerate(lower)]
     layer = {0: 1}

@@ -1,10 +1,11 @@
 """Closed-form expansions of the restricted inversion polynomial.
 
-Three routes to the same polynomial: one term per fiber base point, the
-b-coefficients (last-window entry statistics), and the a-coefficients
-(high-entry prefix statistics).  Each result carries the smallest n at
-which its formula is guaranteed to count; evaluating as a count below
-that floor raises, while raw polynomial evaluation is always available.
+Three routes to the same polynomial, listed by basis name in ROUTES: one
+term per fiber base point, the b-coefficients (last-window entry
+statistics), and the a-coefficients (high-entry prefix statistics).  Each
+result carries the smallest n at which its formula is guaranteed to
+count; evaluating as a count below that floor raises, while raw
+polynomial evaluation is always available.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ def a_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
     coeffs = CoeffSeq(aks, 0)
     terms = tuple((aks[k], hm - 1, k) for k in range(m + 1) if aks[k])
     return ExpansionResult("a", BinomialPoly(terms), coeffs, hm)
+
+
+# basis name -> its route, for every caller that picks a route by name
+ROUTES = {"fiber": fiber_expansion, "b": b_expansion, "a": a_expansion}
 
 
 def a_from_b(b: CoeffSeq, m: int, hm: int) -> CoeffSeq:

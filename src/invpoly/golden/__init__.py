@@ -55,10 +55,7 @@ def _check_enumerate(c):
 
 def _check_expansion(c):
     h, S = _h(c["h"]), _S(c["S"])
-    make = {"fiber": expansions.fiber_expansion,
-            "b": expansions.b_expansion,
-            "a": expansions.a_expansion}[c["basis"]]
-    res = make(h, S)
+    res = expansions.ROUTES[c["basis"]](h, S)
     if "expected_coeffs" in c:
         got = res.coeffs.to_json()
         if got != c["expected_coeffs"]:

@@ -13,12 +13,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from invpoly.enumeration import (
-    B_k_set,
-    enumerate_Ih_structured,
-    enumerate_admissible,
-    graded_Ih_oracle,
-)
+from invpoly.enumeration import B_k_set, enumerate_Ih_structured, enumerate_admissible
 from invpoly.errors import (
     BelowValidityFloorError,
     InputError,
@@ -31,17 +26,6 @@ from invpoly.polynomials import (
     q_seq_strongly_log_concave,
     subset_length,
 )
-
-__all__ = [
-    "GradedExpansion",
-    "graded_Ih_oracle",
-    "b_q_coefficients",
-    "graded_expansion_eval",
-    "length_split_check",
-    "ConjectureReport",
-    "q_log_concavity_violation",
-    "verify_conjecture",
-]
 
 
 @dataclass(frozen=True)

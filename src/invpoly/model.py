@@ -222,13 +222,12 @@ def possible_pairs(h: HSequence, n: int) -> PairSet:
 
 
 def inv_h(h: HSequence, pi: Permutation) -> PairSet:
-    """Restricted inversion set: inversions (i, j) of pi with j <= h(i)."""
+    """Restricted inversion set: inversions (i, j) of pi with j <= h(i),
+    picked in order from the window; empty for the empty permutation."""
     w = pi.word
-    return PairSet(
-        (i, j)
-        for i in range(1, pi.n)
-        for j in range(i + 1, min(pi.n, h.h(i)) + 1)
-        if w[i - 1] > w[j - 1]
+    window = possible_pairs(h, pi.n) if w else ()
+    return PairSet._from_sorted(
+        tuple((i, j) for i, j in window if w[i - 1] > w[j - 1])
     )
 
 

@@ -3,6 +3,8 @@
 The poset lives on [h(m)].  Pairs of S point downward (i above j) and
 complement pairs within the window point upward; the transitive closure
 of those relations is a partial order exactly when S is admissible.
+build_poset is the one home of that rule: enumeration.a_counts extends
+its order past h(m), and only the matching kernel builds its own.
 
 A Poset holds its order as bitmasks only: bit a-1 of below[v-1] is set
 exactly when a < v.  from_relations closes generating relations once,
@@ -117,9 +119,9 @@ class Poset:
 def build_poset(h: HSequence, S: PairSet) -> Poset:
     """The order on [h(m)] induced by S and its windowed complement.
 
-    Cached: b_from_heights, d_S_of and is_constant each ask for the poset
-    of the set in hand, one after another.  The cache is kept small, as
-    it only has to serve those repeats.
+    Cached: enumeration.a_counts, b_from_heights, d_S_of and is_constant
+    each ask for the poset of the set in hand, one after another.  The
+    cache is kept small, as it only has to serve those repeats.
     """
     require_admissible(h, S)
     hm = h.h(S.m())

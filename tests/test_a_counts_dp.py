@@ -84,7 +84,7 @@ def test_inadmissible_sets_count_zero_like_the_sweep(tail, pairs):
 
 
 def test_a_route_checks_admissibility_once(monkeypatch):
-    # a_counts reuses a_expansion's cached check instead of its own tests
+    # a_counts reads build_poset, whose check is a_expansion's, cached
     h, S = HSequence((), 2), PairSet([(1, 3), (2, 3), (2, 4)])
     want = listed_a_counts(h, S)
     checked = []
@@ -98,6 +98,18 @@ def test_a_route_checks_admissibility_once(monkeypatch):
     monkeypatch.setattr(model, "is_admissible", counted)
     assert a_expansion(h, S).coeffs.values == want
     assert checked == [S]
+
+
+def test_reads_the_order_of_S_from_build_poset(monkeypatch):
+    # handed the poset of another set with the same m, a_counts counts
+    # that set: all it knows of S beyond m is build_poset's order
+    h = HSequence((), 2)
+    S, T = PairSet([(1, 3), (2, 3), (2, 4)]), PairSet([(1, 2), (1, 3), (2, 3)])
+    assert S.m() == T.m() and a_counts(h, S) != a_counts(h, T)
+    want = a_counts(h, T)
+    real = enumeration.build_poset
+    monkeypatch.setattr(enumeration, "build_poset", lambda h, S: real(h, T))
+    assert a_counts(h, S) == want
 
 
 def test_equals_the_listed_A_star_sets():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,13 +9,16 @@ from invpoly import (
     PairSet,
     QPoly,
     b_expansion,
+    enumeration,
     enumerate_admissible,
     errors,
+    expansions,
     fiber_expansion,
     graded,
     model,
     posets,
 )
+from invpoly.polynomials import BinomialPoly, CoeffSeq
 from invpoly.cli import main, run_invariant_suite
 
 H2 = '{"prefix":[],"tail_offset":2}'
@@ -377,3 +381,63 @@ class TestOtherCommands:
         assert res.exit_code == 0
         assert data["violations"] == []
         assert data["checked"] > 0
+
+
+class TestInvariantSuiteChecks:
+    """Each failure branch of the invariant suite fires on a forged input
+    and fails verify with its own line."""
+
+    S = PairSet([(1, 3), (2, 3), (2, 4)])  # quadratic in n, j = h(m) = 4
+
+    def _forge_on_S(self, monkeypatch, module, name, forge):
+        """Replace module.name so that its result on self.S is forged."""
+        real = getattr(module, name)
+
+        def forged(h, S):
+            res = real(h, S)
+            return forge(res) if S == self.S else res
+
+        monkeypatch.setattr(module, name, forged)
+
+    def _verify_fails_with(self, runner, line):
+        res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
+        assert res.exit_code == 1, res.output
+        assert line in res.output.splitlines(), res.output
+
+    def test_expansions_disagree(self, runner, monkeypatch):
+        self._forge_on_S(monkeypatch, expansions, "a_expansion",
+                         lambda res: dataclasses.replace(res, poly=BinomialPoly.constant(1)))
+        self._verify_fails_with(runner, f"{self.S}: expansions disagree as polynomials")
+
+    def test_oracle_mismatch(self, runner, monkeypatch):
+        real = enumeration.graded_admissible
+
+        def forged(h, n):
+            classes = real(h, n)
+            if n == 5:
+                classes[self.S] = classes[self.S] + QPoly.one()
+            return classes
+
+        monkeypatch.setattr(enumeration, "graded_admissible", forged)
+        self._verify_fails_with(runner, f"{self.S}: oracle mismatch at n=5")
+
+    def test_coefficient_conversion_mismatch(self, runner, monkeypatch):
+        real = expansions.a_from_b
+
+        def forged(b, m, hm):
+            a = real(b, m, hm)
+            return CoeffSeq((a.values[0] + 1,) + a.values[1:], a.start)
+
+        monkeypatch.setattr(expansions, "a_from_b", forged)
+        self._verify_fails_with(runner, f"{self.S}: coefficient conversion mismatch")
+
+    def test_not_pf2(self, runner, monkeypatch):
+        # the same polynomial, with b-coefficients that have an internal zero
+        self._forge_on_S(monkeypatch, expansions, "b_expansion",
+                         lambda res: dataclasses.replace(
+                             res, coeffs=CoeffSeq((1, 0, 1), res.coeffs.start)))
+        self._verify_fails_with(runner, f"{self.S}: coefficient sequence (1, 0, 1) not PF2")
+
+    def test_constancy_degree_mismatch(self, runner, monkeypatch):
+        self._forge_on_S(monkeypatch, expansions, "degree_of", lambda degree: 0)
+        self._verify_fails_with(runner, f"{self.S}: constancy/degree mismatch")

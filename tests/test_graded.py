@@ -103,6 +103,15 @@ class TestLengthSplit:
         with pytest.raises(InputError):
             length_split_check(H3, S_FIVE, 7)
 
+    def test_fails_on_a_word_whose_length_does_not_split(self, monkeypatch):
+        # reversing a word's sorted tail adds inversions that neither the
+        # flattened window nor the subset length counts
+        hm, n = H2.h(S_POSET.m()), 7  # the tail has n - h(m) = 2 entries
+        word = graded.enumerate_Ih_structured(H2, S_POSET, n)[0]
+        forged = word[:hm] + word[hm:][::-1]
+        monkeypatch.setattr(graded, "enumerate_Ih_structured", lambda h, S, n: [forged])
+        assert not length_split_check(H2, S_POSET, n)
+
 
 class TestVerifyConjecture:
     def test_small_sweep_clean(self):

@@ -15,6 +15,8 @@ from invpoly import (
 from invpoly.errors import InputError, InvpolyError, NoDescentError
 from invpoly.model import length
 
+from conftest import CORPUS_H, h_id
+
 
 class TestHSequence:
     def test_tail_values(self):
@@ -205,6 +207,20 @@ class TestWindowAndInversions:
         h = HSequence((), 1)
         pi = Permutation((3, 1, 4, 2))
         assert inv_h(h, pi) == PairSet([(1, 2), (3, 4)])
+
+    @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+    def test_inv_h_is_the_all_pairs_definition(self, h):
+        # every inversion (i, j) with j <= h(i), read off all pairs i < j;
+        # n = 0 is included, where the window is undefined
+        rng = random.Random(7)
+        for n in range(10):
+            for _ in range(12):
+                word = tuple(rng.sample(range(1, n + 1), n))
+                want = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+                        if word[i - 1] > word[j - 1] and j <= h.h(i)]
+                got = inv_h(h, Permutation(word))
+                assert isinstance(got, PairSet)
+                assert got.pairs == tuple(want), (n, word)
 
 
 class TestAdmissibility:
