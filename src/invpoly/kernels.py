@@ -22,12 +22,15 @@ Matching lists the permutations with a given mask exactly, as the linear
 extensions of the order that the mask puts on the positions (_match): a
 mask whose order has a cycle is rejected before any search, and
 otherwise, with no pinned value, every branch of the search ends in a
-match.  The sorted-suffix listing can also pin one suffix position to
-one value, and then lists only the words that take it; a pinned search
-can dead-end, but no branch outlives the placing of the pinned value.
-The matches come out sorted.
+match.  The peeled order is cached per mask (sixteen of them), so the
+calls that list one set's words with different pins build it once; the
+listings themselves are never cached.  The sorted-suffix listing can
+also pin one suffix position to one value, and then lists only the words
+that take it; a pinned search can dead-end, but no branch outlives the
+placing of the pinned value.  The matches come out sorted.
 """
 
+import functools
 import itertools
 
 
@@ -179,12 +182,10 @@ def _match(n, m, pairs, target, at=None):
     at = (position, value), only those that take value at that position
     of the sorted suffix.
 
-    These are the linear extensions of one relation on the positions: the
-    entry at j lies below the entry at i for each pair (i, j) in target,
-    above it for each pair outside, and m+1 < m+2 < ... < n for the sorted
-    suffix.  The relation is peeled of its minimal positions first; if
-    that gets stuck it has a cycle (a non-admissible mask, or a suffix pair
-    that target inverts) and nothing matches.  Otherwise the values 1, 2,
+    These are the linear extensions of the order that _order builds on the
+    positions, and a mask whose order has a cycle matches nothing.  The
+    order is cached per mask, so the m+1 pinned calls that build one set's
+    b_k(q) peel it once; the listings are not cached.  The values 1, 2,
     ..., n are given in turn, each to an empty position whose lower
     positions are all filled.  With no pin (at None) every branch ends in a
     match (Varol & Rotem 1981).  A pinned value that the sorted suffix
@@ -194,7 +195,29 @@ def _match(n, m, pairs, target, at=None):
     position, value = at or (n + 1, n + 1)
     if target >> len(pairs) or not position - m <= value <= position:
         return []
-    lower = [0] * n  # lower[p]: positions whose entries must be below p's
+    lower = _order(n, m, tuple(pairs), target)
+    if lower is None:
+        return []
+    out = []
+    _extend(1, 0, m, [0] * n, lower, (1 << m) - 1, position - 1, value, out)
+    out.sort()
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _order(n, m, pairs, target):
+    """The order that target puts on the positions of a word of [n]
+    increasing after position m, as a tuple: entry p is the bitmask of the
+    positions whose entries must lie below p's.  None if it has a cycle.
+
+    The entry at j lies below the entry at i for each pair (i, j) in
+    target, above it for each pair outside, and m+1 < m+2 < ... < n for the
+    sorted suffix.  The relation is peeled of its minimal positions; if
+    that gets stuck it has a cycle (a non-admissible mask, or a suffix pair
+    that target inverts).  Sixteen entries cover the m+1 calls of one set,
+    and hold a small fraction of the orders a sweep over many sets visits.
+    """
+    lower = [0] * n
     for bit, (i, j) in enumerate(pairs):
         if target >> bit & 1:
             lower[i - 1] |= 1 << (j - 1)
@@ -209,11 +232,8 @@ def _match(n, m, pairs, target, at=None):
             if below & done == below:
                 done |= 1 << p
         if done == peeled:
-            return []
-    out = []
-    _extend(1, 0, m, [0] * n, lower, (1 << m) - 1, position - 1, value, out)
-    out.sort()
-    return out
+            return None
+    return tuple(lower)
 
 
 def _extend(value, filled, k, word, lower, head, q, v, out):
@@ -244,11 +264,15 @@ def _extend(value, filled, k, word, lower, head, q, v, out):
     else:
         to_head, to_suffix = value > v, k < len(word)
     if to_head:
-        for p in range(head.bit_length()):
+        free = head & ~filled  # the empty head positions, lowest first
+        while free:
+            bit = free & -free
+            free ^= bit
+            p = bit.bit_length() - 1
             below = lower[p]
-            if not filled >> p & 1 and below & filled == below:
+            if below & filled == below:
                 word[p] = value
-                _extend(value + 1, filled | 1 << p, k, word, lower, head, q, v, out)
+                _extend(value + 1, filled | bit, k, word, lower, head, q, v, out)
     if to_suffix and lower[k] & filled == lower[k]:
         word[k] = value
         _extend(value + 1, filled | 1 << k, k + 1, word, lower, head, q, v, out)

@@ -4,14 +4,16 @@ Binomial coefficients use the polynomial convention
 binom(x, d) = x(x-1)...(x-d+1)/d!, defined for every integer x, so that
 expressions like binom(n-s, d) evaluate correctly below their support.
 Everything here is arbitrary-precision integer arithmetic on coefficient
-tuples; Fraction appears only in MonomialPoly.  No floats.
+tuples; Fraction appears only in MonomialPoly.  No floats.  The strong
+q-log-concavity test packs each polynomial into one int, f(2^w), with
+slots wide enough that every coefficient of a compared difference keeps
+to its own slot, so a whole product is one int multiply.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -344,37 +346,34 @@ def is_pf2(values: Sequence[int]) -> bool:
 def q_seq_strongly_log_concave(fs: Sequence[QPoly]) -> bool:
     """Coefficientwise f_i f_j - f_{i-1} f_{j+1} >= 0 for all i <= j.
 
-    Out-of-range entries are the zero polynomial.  Each f is split once
-    into its valuation and its coefficients from there on, so products
-    convolve only those, and two products are compared after padding them
-    to the same lowest degree and the same length.  Each product f_a f_b
-    with a <= b is formed once: row i holds (valuation, coefficients) of
+    Out-of-range entries are the zero polynomial.  Each f is packed once
+    as the integer f(2^w) (Kronecker substitution), so a product is one
+    int multiply, and f_a f_b with a <= b is formed once: row i holds
     f_i f_j for j >= i, and f_{i-1} f_{j+1} is read from the row before.
+
+    With N the largest l1 norm among the f, every coefficient of a
+    difference D = f_i f_j - f_{i-1} f_{j+1} has absolute value at most
+    2 N^2 < 2^(w-2) for w = 2 * N.bit_length() + 3.  Adding H, which has
+    2^(w-1) in each of the 2 deg + 1 slots of w bits, brings every slot
+    into (2^(w-2), 3 * 2^(w-2)) with no carry or borrow between slots, so
+    the top bit of a slot is set exactly when its coefficient is >= 0:
+    D >= 0 coefficientwise iff (D + H) & H == H.  Exact for any signs.
     """
-    trimmed = [_trim(f.coeffs) for f in fs]
-    prev: list[tuple[int, tuple[int, ...]]] = []
-    for i, (vi, fi) in enumerate(trimmed):
-        row = [(vi + vj, _convolve(fi, fj)) for vj, fj in trimmed[i:]]
-        for t, (vb, big) in enumerate(row):  # f_i f_j, j = i + t
-            vs, small = prev[t + 2] if t + 2 < len(prev) else (vb, ())
-            if vb > vs:
-                big = (0,) * (vb - vs) + big
-            else:
-                small = (0,) * (vs - vb) + small
-            extra = len(big) - len(small)
-            if extra > 0:
-                small += (0,) * extra
-            else:
-                big += (0,) * -extra
-            if any(map(operator.lt, big, small)):
+    w = 2 * max((sum(map(abs, f.coeffs)) for f in fs), default=0).bit_length() + 3
+    slots = max(2 * max((len(f.coeffs) for f in fs), default=0) - 1, 0)
+    half = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)  # H
+    packed = []
+    for f in fs:
+        x = 0
+        for c in reversed(f.coeffs):
+            x = (x << w) + c
+        packed.append(x)
+    prev: list[int] = []
+    for i, fi in enumerate(packed):
+        row = [fi * fj for fj in packed[i:]]
+        for t, big in enumerate(row):  # f_i f_j, j = i + t
+            small = prev[t + 2] if t + 2 < len(prev) else 0
+            if (big - small + half) & half != half:
                 return False
         prev = row
     return True
-
-
-def _trim(cs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(valuation, the coefficients from it on) of a coefficient tuple."""
-    v = 0
-    while v < len(cs) and cs[v] == 0:
-        v += 1
-    return v, cs[v:]

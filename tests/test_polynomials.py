@@ -20,6 +20,18 @@ from invpoly.errors import InputError
 from invpoly.polynomials import q_binom_subset_model
 
 
+def strongly_log_concave(fs):
+    """The strong q-log-concavity test written with plain QPoly products."""
+    def at(p):
+        return fs[p] if 0 <= p < len(fs) else QPoly.zero()
+
+    return all(
+        (at(i) * at(j) - at(i - 1) * at(j + 1)).is_nonnegative()
+        for i in range(len(fs))
+        for j in range(i, len(fs))
+    )
+
+
 class TestBinom:
     def test_matches_math_comb_on_naturals(self):
         for n in range(10):
@@ -191,16 +203,6 @@ class TestSequenceAnalyzers:
         assert not q_seq_strongly_log_concave([one + q, one, one + q])
 
     def test_strong_q_log_concavity_matches_qpoly_formula(self):
-        def reference(fs):
-            def at(p):
-                return fs[p] if 0 <= p < len(fs) else QPoly.zero()
-
-            return all(
-                (at(i) * at(j) - at(i - 1) * at(j + 1)).is_nonnegative()
-                for i in range(len(fs))
-                for j in range(i, len(fs))
-            )
-
         rng = random.Random(31)
         seqs = [[q_binom(6, k) for k in range(7)]]
         for _ in range(400):
@@ -209,22 +211,12 @@ class TestSequenceAnalyzers:
                 for _ in range(rng.randint(0, 5))
             ])
         verdicts = [q_seq_strongly_log_concave(fs) for fs in seqs]
-        assert verdicts == [reference(fs) for fs in seqs]
+        assert verdicts == [strongly_log_concave(fs) for fs in seqs]
         assert verdicts[0] and verdicts.count(False) > 0
 
     def test_strong_q_log_concavity_on_shifted_factors(self):
         # factors with long runs of leading zeros, zero factors, and
         # sequences of length 0 and 1, against the plain QPoly products
-        def reference(fs):
-            def at(p):
-                return fs[p] if 0 <= p < len(fs) else QPoly.zero()
-
-            return all(
-                (at(i) * at(j) - at(i - 1) * at(j + 1)).is_nonnegative()
-                for i in range(len(fs))
-                for j in range(i, len(fs))
-            )
-
         def factor(rng):
             if rng.random() < 0.15:
                 return QPoly.zero()
@@ -239,6 +231,46 @@ class TestSequenceAnalyzers:
         for _ in range(2000):
             seqs.append([factor(rng) for _ in range(rng.randint(0, 6))])
         verdicts = [q_seq_strongly_log_concave(fs) for fs in seqs]
-        assert verdicts == [reference(fs) for fs in seqs]
+        assert verdicts == [strongly_log_concave(fs) for fs in seqs]
         assert verdicts[:4] == [True, True, True, False]
         assert 0 < verdicts.count(False) < len(seqs)
+
+    def test_strong_q_log_concavity_on_packed_edge_cases(self):
+        big = 1 << 70
+        a = 1 << 40  # f_1 = a(1 + q + q^2), so f_1^2 = a^2 (1, 2, 3, 2, 1)
+        f1 = QPoly((a, a, a))
+
+        def third(d):  # f_2 with f_1^2 - f_0 f_2 = d, f_0 = 1
+            return f1 * f1 - QPoly(d)
+
+        g = QPoly((big, 3))
+        seqs = {
+            "empty": ([], True),
+            "one zero": ([QPoly.zero()], True),
+            "one big": ([QPoly((big, big + 1))], True),
+            "one mixed": ([QPoly((1, -1))], False),
+            "all zero": ([QPoly.zero()] * 4, True),
+            # f_i f_j - f_{i-1} f_{j+1} is exactly zero inside the sequence
+            "geometric": ([QPoly.one(), g, g * g, g * g * g], True),
+            # a -1 between large positive slots, which borrows from its
+            # neighbours once packed
+            "borrow": ([QPoly.one(), f1, third((a * a, -1, a * a, 0, 5))], False),
+            "no borrow": ([QPoly.one(), f1, third((a * a, 0, a * a, 0, 5))], True),
+            "big squares": ([QPoly((big,)), QPoly((big + 1,)), QPoly((big,))], True),
+            "big by one": ([QPoly((big,)), QPoly((big,)), QPoly((big + 1,))], False),
+        }
+        for name, (fs, expect) in seqs.items():
+            assert strongly_log_concave(fs) == expect, name
+            assert q_seq_strongly_log_concave(fs) == expect, name
+
+        rng = random.Random(2 ** 70)
+        for top in (3, 1 << 70):
+            verdicts = []
+            for _ in range(300):
+                fs = [
+                    QPoly(tuple(rng.randint(-top, top) for _ in range(rng.randint(0, 4))))
+                    for _ in range(rng.randint(0, 4))
+                ]
+                verdicts.append(q_seq_strongly_log_concave(fs))
+                assert verdicts[-1] == strongly_log_concave(fs), fs
+            assert 0 < verdicts.count(False) < len(verdicts)

@@ -181,3 +181,51 @@ def test_admissible_counts_n9_invariants(h):
     if h == HSequence((), 1):
         # h-inversions are descents
         assert coeffs[::2] == eulerian(n)
+
+
+@pytest.mark.parametrize("h, n", WINDOWS[:3], ids=WINDOW_IDS[:3])
+def test_matching_takes_a_pair_list(h, n):
+    pairs = list(possible_pairs(h, n).pairs)
+    groups = sweep(n, n, pairs)
+    for mask in masks(n, pairs):
+        assert kernels.matching_perms(n, pairs, mask) == groups.get(mask, [])
+    for m in range(n + 1):
+        groups = sweep(n, m, pairs)
+        for mask in groups:
+            got = kernels.matching_perms_sorted_suffix(n, m, pairs, mask)
+            assert got == groups[mask], (m, mask)
+
+
+def test_cyclic_mask_matches_nothing_before_any_search(monkeypatch):
+    # (1,2) and (2,3) inverted but (1,3) not: 1 > 2 > 3 > 1 is a cycle
+    def no_search(*args):
+        raise AssertionError("searched a cyclic order")
+
+    monkeypatch.setattr(kernels, "_extend", no_search)
+    kernels._order.cache_clear()
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    for _ in range(2):
+        assert kernels.matching_perms(3, pairs, 0b101) == []
+        assert kernels.matching_perms_sorted_suffix(3, 1, pairs, 0b101, (2, 2)) == []
+    assert kernels._order.cache_info().misses == 2
+
+
+def test_one_set_peels_its_order_once(monkeypatch):
+    from invpoly import Permutation, b_q_coefficients, inv_h
+
+    h = HSequence((), 3)
+    S = inv_h(h, Permutation((2, 3, 4, 1, 5, 6)))
+    assert S.m() == 3
+    calls = []
+    listing = kernels.matching_perms_sorted_suffix
+
+    def counted(*args):
+        calls.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(kernels, "matching_perms_sorted_suffix", counted)
+    kernels._order.cache_clear()
+    ge = b_q_coefficients(h, S)
+    assert len(ge.b_q) == len(calls) == 4
+    info = kernels._order.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
