@@ -39,7 +39,6 @@ from invpoly.model import (
     Permutation,
     inv_h,
     is_admissible,
-    is_h_closed,
     possible_pairs,
 )
 from invpoly.polynomials import (

@@ -9,13 +9,14 @@ graded expansion alike, and strong q-log-concavity is checked
 on the graded coefficients the suite has already built, for every set
 with h(m) <= cap.
 
-Exit codes: 0 ok, 1 verification failure, 2 inadmissible set, 3 bad
-input (unparsable, malformed, a non-integer h-sequence value, pair index
-or n, a --json file that cannot be read, a non-integer INVPOLY_MAX_N,
---jobs below 1, below the validity floor, or a cyclic order), 4
-brute-force bound exceeded, 5 two routes that must agree disagree.  Each library error
-carries its code (invpoly.errors); click's own usage errors, such as a
-bad flag value or an unknown command, also exit 2.
+Exit codes: 0 ok, 1 verification failure, 2 inadmissible set (a
+nonempty set with no descent pair too), 3 bad input (unparsable,
+malformed, a non-integer h-sequence value, pair index or n, a --json
+file that cannot be read, a non-integer INVPOLY_MAX_N, --jobs below 1,
+below the validity floor, or order relations with a cycle), 4
+brute-force bound exceeded, 5 two routes that must agree disagree.
+Each library error carries its code (invpoly.errors); click's own usage
+errors, such as a bad flag value or an unknown command, also exit 2.
 """
 
 from __future__ import annotations
@@ -316,8 +317,9 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
         fib = expansions.fiber_expansion(hseq, S)
         b = expansions.b_expansion(hseq, S)
         a = expansions.a_expansion(hseq, S)
-        mono = fib.poly.to_monomial()
-        if not (b.poly.to_monomial() == mono == a.poly.to_monomial()):
+        # polynomials of degree <= top agree exactly at top + 1 integers
+        top = max((d for r in (fib, b, a) for _, _, d in r.poly.terms), default=0)
+        if any(not fib.poly(n) == b.poly(n) == a.poly(n) for n in range(top + 1)):
             failures.append(f"{S}: expansions disagree as polynomials")
             continue
         for n in range(S.j(), cap + 1):

@@ -1,4 +1,4 @@
-"""Exception types shared across the library and the CLI.
+"""Exception types shared across the library and the CLI, one per way to fail.
 
 Each class states the exit code the CLI ends with when it is raised, as
 ``exit_code``; the CLI catches InvpolyError in one place and exits with
@@ -13,23 +13,15 @@ class InvpolyError(Exception):
 
 
 class InputError(InvpolyError, ValueError):
-    """Malformed input: bad h-sequence, bad pair set, bad JSON."""
+    """Malformed input: bad h-sequence, bad pair set, bad JSON, or order
+    relations with a cycle."""
 
     exit_code = 3
 
 
-class NoDescentError(InvpolyError):
-    """A nonempty pair set without any descent pair has no maximum descent.
-
-    Such a set is never admissible, so asking for it usually signals a bug
-    in the caller.
-    """
-
-    exit_code = 2
-
-
 class InadmissibleSetError(InvpolyError):
-    """An expansion was requested for a set that is not h-admissible."""
+    """A set is not h-admissible: a route was asked for it, or it is a
+    nonempty set with no descent pair, which has no maximum descent m."""
 
     exit_code = 2
 
@@ -46,12 +38,6 @@ class BelowValidityFloorError(InvpolyError):
     The polynomial is still well defined there; use the raw evaluator if
     you want its value as a polynomial rather than as a count.
     """
-
-    exit_code = 3
-
-
-class PosetCycleError(InvpolyError):
-    """Order relations produced a cycle; indicates an admissibility bug."""
 
     exit_code = 3
 

@@ -148,7 +148,8 @@ def verify_conjecture(h: HSequence, hm_cap: int, jobs: int = 1) -> ConjectureRep
 
     Every such S satisfies j(S) <= h(m(S)), so a single grouping sweep of
     S_cap finds them all; each S is then checked once, at window h(m).
-    The checks run in at most min(jobs, cpu count) worker processes.
+    The checks run in at most min(jobs, cpu count) worker processes, each
+    taking its sets in about four chunks rather than one per round trip.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -159,8 +160,9 @@ def verify_conjecture(h: HSequence, hm_cap: int, jobs: int = 1) -> ConjectureRep
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunk = -(-len(todo) // (4 * workers)) or 1  # ceil, at least 1
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_one, [h] * len(todo), todo))
+            results = list(pool.map(_check_one, [h] * len(todo), todo, chunksize=chunk))
     else:
         results = [_check_one(h, S) for S in todo]
     violations = [res for res in results if res is not None]

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from invpoly.errors import InadmissibleSetError, InputError, NoDescentError
+from invpoly.errors import InadmissibleSetError, InputError
 
 
 def require_int(value, what: str) -> int:
@@ -185,7 +185,7 @@ class PairSet(tuple):
                 return i
         if not self:
             raise InputError("m(S) is undefined for the empty set")
-        raise NoDescentError(f"{self} contains no descent pair")
+        raise InadmissibleSetError(f"{self} contains no descent pair")
 
     def to_json(self) -> list[list[int]]:
         return [[i, j] for i, j in self]
@@ -229,23 +229,6 @@ def inv_h(h: HSequence, pi: Permutation) -> PairSet:
     return PairSet._from_sorted(
         tuple((i, j) for i, j in window if w[i - 1] > w[j - 1])
     )
-
-
-def is_h_closed(h: HSequence, pairs: PairSet, window: int) -> bool:
-    """Closure under composition within the possible-pair window.
-
-    Whenever (i, j) and (j, k) are in the set and (i, k) is a possible
-    pair (k <= min(h(i), window)), (i, k) must be in the set too.
-    """
-    have = set(pairs)
-    by_first: dict[int, list[int]] = {}
-    for i, j in pairs:
-        by_first.setdefault(i, []).append(j)
-    for i, j in pairs:
-        for k in by_first.get(j, ()):
-            if k <= min(h.h(i), window) and (i, k) not in have:
-                return False
-    return True
 
 
 def is_admissible(h: HSequence, S: PairSet) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from invpoly.errors import InputError, PosetCycleError, RouteDisagreementError
+from invpoly.errors import InputError, RouteDisagreementError
 from invpoly.model import (
     HSequence,
     PairSet,
@@ -52,7 +52,7 @@ class Poset:
             if low >> self.ground or low < 0:
                 raise InputError(f"mask of {v} reaches outside the ground set")
             if low >> (v - 1) & 1:
-                raise PosetCycleError(f"{v} lies below itself")
+                raise InputError(f"{v} lies below itself")
             for a in _elements(low):
                 if self.below[a - 1] & ~low:
                     raise InputError("relations must be given transitively closed")

@@ -26,7 +26,7 @@ from invpoly import (
 )
 from invpoly.cli import main
 from invpoly.enumeration import a_counts, b_counts, enumerate_Ih_structured
-from invpoly.errors import NoDescentError
+from invpoly.errors import InadmissibleSetError
 from invpoly.polynomials import CoeffSeq
 
 from conftest import CORPUS_H, H_IDS, HS, draw
@@ -77,7 +77,7 @@ def test_inadmissible_sets_count_zero_like_the_sweep(tail, pairs):
     h, S = HSequence((), tail), PairSet(pairs)
     if not any(j == i + 1 for i, j in S):
         for count in (a_counts, listed_a_counts):
-            with pytest.raises(NoDescentError):
+            with pytest.raises(InadmissibleSetError):
                 count(h, S)
         return
     assert a_counts(h, S) == listed_a_counts(h, S) == (0,) * (S.m() + 1)

@@ -214,7 +214,11 @@ class TestExitCodes:
     def test_every_error_declares_its_code(self):
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, errors.InvpolyError)]
-        assert len(classes) == 8
+        assert {c.__name__ for c in classes} == {
+            "InvpolyError", "InputError", "InadmissibleSetError",
+            "BoundExceededError", "BelowValidityFloorError",
+            "RouteDisagreementError",
+        }
         for cls in classes:
             assert "exit_code" in vars(cls), cls.__name__
 
@@ -403,11 +407,24 @@ class TestInvariantSuiteChecks:
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "5"])
         assert res.exit_code == 1, res.output
         assert line in res.output.splitlines(), res.output
+        return res
 
     def test_expansions_disagree(self, runner, monkeypatch):
         self._forge_on_S(monkeypatch, expansions, "a_expansion",
                          lambda res: dataclasses.replace(res, poly=BinomialPoly.constant(1)))
         self._verify_fails_with(runner, f"{self.S}: expansions disagree as polynomials")
+
+    def test_expansions_disagree_where_the_oracle_cannot_see(self, runner, monkeypatch):
+        # C(n - j, cap - j + 1) vanishes at every oracle point n = j .. cap
+        j, cap = self.S.j(), 5  # cap as in _verify_fails_with
+        extra = BinomialPoly(((1, j, cap - j + 1),))
+        assert [extra(n) for n in range(j, cap + 1)] == [0] * (cap - j + 1)
+        assert extra != BinomialPoly(())
+        self._forge_on_S(monkeypatch, expansions, "fiber_expansion",
+                         lambda res: dataclasses.replace(res, poly=res.poly + extra))
+        res = self._verify_fails_with(
+            runner, f"{self.S}: expansions disagree as polynomials")
+        assert "oracle mismatch" not in res.output, res.output
 
     def test_oracle_mismatch(self, runner, monkeypatch):
         real = enumeration.graded_admissible

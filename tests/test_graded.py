@@ -137,10 +137,11 @@ class TestVerifyConjecture:
         (100_000, None, []),  # cpu count unknown: one process, no pool
     ])
     def test_workers_capped_at_cpu_count(self, monkeypatch, jobs, cpus, pools):
-        made = []
+        made, chunks = [], []
 
         class RecordingPool:
-            """Records max_workers and runs the map in-process; starts nothing."""
+            """Records max_workers and chunksize, and runs the map
+            in-process; starts nothing."""
 
             def __init__(self, max_workers):
                 made.append(max_workers)
@@ -151,13 +152,17 @@ class TestVerifyConjecture:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         report = verify_conjecture(H2, 5, jobs=jobs)
-        assert made == pools
+        assert made == pools and len(chunks) == len(pools)
+        for workers, chunk in zip(pools, chunks):
+            assert report.checked > 4 * workers  # enough sets to chunk
+            assert chunk > 1  # one set per round trip is slower than serial
         serial = verify_conjecture(H2, 5)
         assert (report.checked, report.violations) == (serial.checked, serial.violations)
 

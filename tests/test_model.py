@@ -9,10 +9,9 @@ from invpoly import (
     Permutation,
     inv_h,
     is_admissible,
-    is_h_closed,
     possible_pairs,
 )
-from invpoly.errors import InputError, InvpolyError, NoDescentError
+from invpoly.errors import InadmissibleSetError, InputError, InvpolyError
 from invpoly.model import length
 
 from conftest import CORPUS_H, h_id
@@ -108,7 +107,7 @@ class TestPairSet:
             PairSet().j()
 
     def test_m_requires_a_descent(self):
-        with pytest.raises(NoDescentError):
+        with pytest.raises(InadmissibleSetError):
             PairSet([(1, 3)]).m()
 
     def test_m_is_the_largest_descent(self):
@@ -129,7 +128,7 @@ class TestPairSet:
             seen["no descent" if S else "empty"] += 1
             with pytest.raises(InvpolyError) as exc:
                 S.m()
-            assert exc.type is (NoDescentError if S else InputError), S
+            assert exc.type is (InadmissibleSetError if S else InputError), S
         assert min(seen.values()) >= 100, seen
 
     def test_immutable_and_hashable(self):
@@ -246,8 +245,3 @@ class TestAdmissibility:
         # complement holds (1,2), (2,3) but not (1,3)
         h = HSequence((), 2)
         assert not is_admissible(h, PairSet([(1, 3)]))
-
-    def test_is_h_closed_direct(self):
-        h = HSequence((), 2)
-        assert not is_h_closed(h, PairSet([(1, 2), (2, 3)]), 3)
-        assert is_h_closed(h, PairSet([(1, 2), (2, 3), (1, 3)]), 3)
