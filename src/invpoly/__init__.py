@@ -7,7 +7,6 @@ study the graded (length-tracking) q-analogue.
 """
 
 from invpoly.enumeration import (
-    A_star_set,
     B_k_set,
     enumerate_Ih,
     enumerate_admissible,
@@ -30,7 +29,6 @@ from invpoly.graded import (
     GradedExpansion,
     b_q_coefficients,
     graded_expansion_eval,
-    length_split_check,
     verify_conjecture,
 )
 from invpoly.model import (
@@ -49,10 +47,8 @@ from invpoly.polynomials import (
     binom,
     has_no_internal_zeros,
     is_log_concave,
-    is_pf2,
     q_binom,
     q_seq_strongly_log_concave,
-    subset_length,
 )
 from invpoly.posets import (
     Poset,

@@ -113,7 +113,7 @@ def cmd_eval(h, s, n, json_file, want_perms, json_out):
         perms = enumeration.enumerate_Ih(hseq, S, n)
         payload = {"S": S.to_json(), "n": n,
                    "perms": [p.to_json() for p in perms]}
-        human = "\n".join(str(p) for p in perms) + f"\ncount: {len(perms)}"
+        human = "".join(f"{p}\n" for p in perms) + f"count: {len(perms)}"
         _emit(payload, human, json_out)
         return
     payload = {"S": S.to_json(), "n": n, "methods": {}}
@@ -124,7 +124,7 @@ def cmd_eval(h, s, n, json_file, want_perms, json_out):
         lines.append(f"brute force: {count}")
     for make in expansions.ROUTES.values():
         res = make(hseq, S)
-        value = res.eval_raw(n)
+        value = res.poly(n)
         below = n < res.validity_floor
         payload["methods"][res.basis] = {
             "value": value,
@@ -323,7 +323,7 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
             failures.append(f"{S}: expansions disagree as polynomials")
             continue
         for n in range(S.j(), cap + 1):
-            if fib.eval_raw(n) != graded[n].get(S, zero).at_one():
+            if fib.poly(n) != graded[n].get(S, zero).at_one():
                 failures.append(f"{S}: oracle mismatch at n={n}")
         conv = expansions.a_from_b(b.coeffs, S.m(), hm)
         if conv != a.coeffs:

@@ -26,7 +26,7 @@ m+h(m)-1 over the order ideals of that same order (posets.ideal_step),
 and never calls a kernel.  It takes the order on positions 1..h(m) from
 posets.build_poset and adds only the relations past h(m), which S does
 not touch; an inadmissible set, which has no poset, counts zero.
-A_star_set still lists the window, and serves as its oracle.
+The listing of the A*_k sets that checks it lives with the tests.
 """
 
 from __future__ import annotations
@@ -191,20 +191,6 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
                 counts[ideal.bit_count() - (hm - 1)] += count
         layer = ideal_step(layer, head_steps)
     return tuple(counts)
-
-
-def A_star_set(h: HSequence, S: PairSet, k: int) -> list[tuple[int, ...]]:
-    """Words of I_h(S, m + h(m) - 1) whose large entries among the first m
-    positions form exactly the interval [h(m), h(m)+k-1]; none for k < 0."""
-    m = S.m()
-    hm = h.h(m)
-    if k < 0:
-        return []
-    want = frozenset(range(hm, hm + k))
-    return [
-        w for w in enumerate_Ih_structured(h, S, m + hm - 1)
-        if frozenset(v for v in w[:m] if v >= hm) == want
-    ]
 
 
 def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:

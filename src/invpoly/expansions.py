@@ -4,8 +4,8 @@ Three routes to the same polynomial, listed by basis name in ROUTES: one
 term per fiber base point, the b-coefficients (last-window entry
 statistics), and the a-coefficients (high-entry prefix statistics).  Each
 result carries the smallest n at which its formula is guaranteed to
-count; evaluating as a count below that floor raises, while raw
-polynomial evaluation is always available.
+count; evaluating as a count below that floor raises, while the
+polynomial itself, res.poly(n), evaluates at any integer n.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class ExpansionResult:
                 f"{self.basis}-expansion counts only for n >= "
                 f"{self.validity_floor}, got {n}"
             )
-        return self.poly(n)
-
-    def eval_raw(self, n: int) -> int:
-        """Value of the polynomial itself, any integer n."""
         return self.poly(n)
 
     def to_json(self) -> dict:

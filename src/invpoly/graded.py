@@ -13,19 +13,14 @@ import os
 import time
 from dataclasses import dataclass
 
-from invpoly.enumeration import B_k_set, enumerate_Ih_structured, enumerate_admissible
+from invpoly.enumeration import B_k_set, enumerate_admissible
 from invpoly.errors import (
     BelowValidityFloorError,
     InputError,
     RouteDisagreementError,
 )
 from invpoly.model import HSequence, PairSet, length, require_admissible
-from invpoly.polynomials import (
-    QPoly,
-    q_binom,
-    q_seq_strongly_log_concave,
-    subset_length,
-)
+from invpoly.polynomials import QPoly, q_binom, q_seq_strongly_log_concave
 
 
 @dataclass(frozen=True)
@@ -72,27 +67,6 @@ def graded_expansion_eval(ge: GradedExpansion, n: int) -> QPoly:
     for k in ge.indices():
         acc = acc + ge.coeff(k) * q_binom(n - k, ge.hm - k)
     return acc
-
-
-def length_split_check(h: HSequence, S: PairSet, n: int) -> bool:
-    """Verify the length decomposition over every B_k(S, n).
-
-    For pi with pi_{h(m)} = k, the length must split as the length of the
-    flattened window plus the subset length (within [k+1, n]) of the
-    complement of the tail values.  One listing serves every k; the window
-    flattens with its relative order, so keeps its length.
-    """
-    require_admissible(h, S)
-    hm = h.h(S.m())
-    if n < hm:
-        raise InputError(f"B_k sets need n >= h(m) = {hm}, got n={n}")
-    for w in enumerate_Ih_structured(h, S, n):
-        k = w[hm - 1]
-        tail = set(w[hm:])
-        comp = [v for v in range(k + 1, n + 1) if v not in tail]
-        if length(w) != length(w[:hm]) + subset_length(comp, k + 1, n):
-            return False
-    return True
 
 
 @dataclass

@@ -112,23 +112,11 @@ class Permutation:
         """Number of ordinary inversions."""
         return length(self.word)
 
-    def flatten(self, k: int) -> "Permutation":
-        """Relabel the first k entries to a permutation of [k], keeping order."""
-        if not 1 <= k <= self.n:
-            raise InputError(f"flattening window {k} out of range for n={self.n}")
-        head = self.word[:k]
-        rank = {v: r for r, v in enumerate(sorted(head), start=1)}
-        return Permutation(tuple(rank[v] for v in head))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for pos, v in enumerate(self.word, start=1):
             inv[v - 1] = pos
         return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     def to_json(self) -> list[int]:
         return list(self.word)

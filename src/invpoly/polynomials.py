@@ -12,7 +12,6 @@ to its own slot, so a whole product is one int multiply.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,10 +94,6 @@ class BinomialPoly:
         return {"terms": [{"c": c, "s": s, "d": d} for c, s, d in self.terms]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "BinomialPoly":
-        return cls(tuple((t["c"], t["s"], t["d"]) for t in data["terms"]))
-
-    @classmethod
     def constant(cls, c: int) -> "BinomialPoly":
         return cls(((c, 0, 0),))
 
@@ -139,10 +134,6 @@ class MonomialPoly:
             "num": [c.numerator for c in self.coeffs],
             "den": [c.denominator for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MonomialPoly":
-        return cls(tuple(Fraction(n, d) for n, d in zip(data["num"], data["den"])))
 
     def __str__(self):
         if not self.coeffs:
@@ -239,10 +230,6 @@ class QPoly:
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "QPoly":
-        return cls(tuple(data["coeffs"]))
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -262,8 +249,7 @@ def q_binom(n: int, k: int) -> QPoly:
     """Gaussian binomial via the Pascal recurrence [n,k] = [n-1,k-1] + q^k [n-1,k].
 
     Division-free and exact: one row of coefficient tuples, updated in
-    place from the right.  The subset-length model of q_binom_subset_model
-    is the independent cross-check.
+    place from the right.
     """
     if k < 0 or k > n:
         return QPoly.zero()
@@ -274,30 +260,6 @@ def q_binom(n: int, k: int) -> QPoly:
         if np <= k:
             row.append((1,))
     return QPoly(row[k])
-
-
-def subset_length(A: Iterable[int], lo: int, hi: int) -> int:
-    """Pairs (a, b) in [lo, hi]^2 with a > b, a in A, b not in A."""
-    aset = set(A)
-    if not aset <= set(range(lo, hi + 1)):
-        raise InputError(f"subset {sorted(aset)} not contained in [{lo},{hi}]")
-    return sum(
-        1
-        for a in aset
-        for b in range(lo, a)
-        if b not in aset
-    )
-
-
-def q_binom_subset_model(n: int, k: int) -> QPoly:
-    """Subset-length generating function: sum over k-subsets A of [1, n] of
-    q^len(A).  Equals q_binom(n, k) and serves as its oracle."""
-    if k < 0 or k > n:
-        return QPoly.zero()
-    return QPoly.from_exponents(
-        subset_length(A, 1, n)
-        for A in itertools.combinations(range(1, n + 1), k)
-    )
 
 
 def is_log_concave(values: Sequence[int]) -> bool:
@@ -318,29 +280,6 @@ def has_no_internal_zeros(values: Sequence[int]) -> bool:
     if not support:
         return True
     return all(values[i] != 0 for i in range(support[0], support[-1] + 1))
-
-
-def is_pf2(values: Sequence[int]) -> bool:
-    """All 2x2 minors of the shifted two-row arrays are nonnegative.
-
-    Finite criterion: a_j a_{i+k} - a_i a_{j+k} >= 0 for all i < j, k >= 0,
-    with out-of-range entries read as 0.  Equivalent to weakly log-concave
-    with contiguous support for nonnegative sequences.
-    """
-    vals = list(values)
-    if any(v < 0 for v in vals):
-        raise InputError("PF2 test requires nonnegative entries")
-    L = len(vals)
-
-    def at(p):
-        return vals[p] if 0 <= p < L else 0
-
-    for i in range(L):
-        for j in range(i + 1, L):
-            for k in range(L - i):
-                if at(j) * at(i + k) - at(i) * at(j + k) < 0:
-                    return False
-    return True
 
 
 def q_seq_strongly_log_concave(fs: Sequence[QPoly]) -> bool:

@@ -62,13 +62,6 @@ class Poset:
             raise InputError(f"element {v} outside ground set [{self.ground}]")
         return self.below[v - 1]
 
-    def less(self, a: int, b: int) -> bool:
-        self._mask(a)
-        return bool(self._mask(b) >> (a - 1) & 1)
-
-    def down_set(self, v: int) -> set[int]:
-        return set(_elements(self._mask(v)))
-
     def up_set(self, v: int) -> set[int]:
         self._mask(v)
         return {b for b, low in enumerate(self.below, start=1) if low >> (v - 1) & 1}

@@ -1,10 +1,11 @@
 """The order-ideal count of the a-coefficients against the listings.
 
 enumeration.a_counts counts A*_k without listing the window m+h(m)-1.
-Here it is checked against a sweep of that window through the sorted-suffix
-lister, against the b route (which lists only the window h(m)) converted
-by a_from_b, and against A_star_set; and it is run with every lister
-disabled, at a window no listing could finish.
+Here it is checked against the A*_k sets listed from one sweep of that
+window through the sorted-suffix lister (oracles.A_star_sets), and
+against the b route (which lists only the window h(m)) converted by
+a_from_b; and it is run with every lister disabled, at a window no
+listing could finish.
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 from invpoly import (
-    A_star_set,
     HSequence,
     PairSet,
     a_expansion,
@@ -25,23 +25,12 @@ from invpoly import (
     model,
 )
 from invpoly.cli import main
-from invpoly.enumeration import a_counts, b_counts, enumerate_Ih_structured
+from invpoly.enumeration import a_counts, b_counts
 from invpoly.errors import InadmissibleSetError
 from invpoly.polynomials import CoeffSeq
 
 from conftest import CORPUS_H, H_IDS, HS, draw
-
-
-def listed_a_counts(h, S):
-    """Sizes of A*_k for k = 0 .. m, in one sweep of the window m+h(m)-1."""
-    m = S.m()
-    hm = h.h(m)
-    counts = [0] * (m + 1)
-    for w in enumerate_Ih_structured(h, S, m + hm - 1):
-        high = sorted(v for v in w[:m] if v >= hm)
-        if high == list(range(hm, hm + len(high))):
-            counts[len(high)] += 1
-    return tuple(counts)
+from oracles import A_star_sets
 
 
 def test_equals_the_window_sweep_on_the_corpus():
@@ -49,7 +38,7 @@ def test_equals_the_window_sweep_on_the_corpus():
     for h in CORPUS_H:
         for S in enumerate_admissible(h, 6):
             if S:
-                assert a_counts(h, S) == listed_a_counts(h, S), (h, S)
+                assert a_counts(h, S) == tuple(map(len, A_star_sets(h, S))), (h, S)
                 checked += 1
     assert checked == 1316
 
@@ -76,17 +65,17 @@ def test_equals_the_b_route_beyond_the_sweep(h, hm):
 def test_inadmissible_sets_count_zero_like_the_sweep(tail, pairs):
     h, S = HSequence((), tail), PairSet(pairs)
     if not any(j == i + 1 for i, j in S):
-        for count in (a_counts, listed_a_counts):
+        for count in (a_counts, A_star_sets):
             with pytest.raises(InadmissibleSetError):
                 count(h, S)
         return
-    assert a_counts(h, S) == listed_a_counts(h, S) == (0,) * (S.m() + 1)
+    assert a_counts(h, S) == tuple(map(len, A_star_sets(h, S))) == (0,) * (S.m() + 1)
 
 
 def test_a_route_checks_admissibility_once(monkeypatch):
     # a_counts reads build_poset, whose check is a_expansion's, cached
     h, S = HSequence((), 2), PairSet([(1, 3), (2, 3), (2, 4)])
-    want = listed_a_counts(h, S)
+    want = tuple(map(len, A_star_sets(h, S)))
     checked = []
     check = model.is_admissible
 
@@ -114,7 +103,7 @@ def test_reads_the_order_of_S_from_build_poset(monkeypatch):
 
 def test_equals_the_listed_A_star_sets():
     h, S = HSequence((), 2), PairSet([(1, 3), (2, 3), (2, 4)])
-    assert a_counts(h, S) == tuple(len(A_star_set(h, S, k)) for k in range(3))
+    assert a_counts(h, S) == tuple(map(len, A_star_sets(h, S)))
 
 
 def test_lists_nothing(monkeypatch):

@@ -58,6 +58,15 @@ class TestEval:
             "perms": [[2, 4, 1, 3], [3, 4, 1, 2]],
         }
 
+    def test_perms_human_output(self, runner):
+        # one line per permutation, then the count; nothing before it
+        args = ["eval", "--h", H2, "--s", S_QUAD, "--n", "4", "--perms"]
+        assert runner.invoke(main, args).output == "2413\n3412\ncount: 2\n"
+        args = ["eval", "--h", H2, "--s", "[[1,2]]", "--n", "1", "--perms"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.output == "count: 0\n"
+
     def test_problem_file(self, runner, tmp_path):
         spec = tmp_path / "problem.json"
         spec.write_text(json.dumps({

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from invpoly import (
-    A_star_set,
     B_k_set,
     HSequence,
     PairSet,
@@ -19,7 +18,6 @@ from invpoly import (
     fiber_expansion,
     inv_h,
     is_constant,
-    length_split_check,
     poincare,
     t_of,
 )
@@ -29,15 +27,12 @@ from invpoly.errors import BoundExceededError, InputError
 from invpoly.polynomials import QPoly
 
 from conftest import CORPUS_H, h_id
+from oracles import A_star_sets, length_split_check, words
 
 H2 = HSequence((), 2)
 H3 = HSequence((), 3)
 S_QUAD = PairSet([(1, 3), (2, 3), (2, 4)])
 S_FIVE = PairSet([(3, 4), (3, 5), (3, 6), (4, 6), (5, 6)])
-
-
-def words(perms):
-    return {str(p) for p in perms}
 
 
 class TestEnumerateIh:
@@ -49,7 +44,7 @@ class TestEnumerateIh:
 
     def test_empty_set_gives_identity_only(self):
         got = enumerate_Ih(H2, PairSet(), 4)
-        assert got == [Permutation.identity(4)]
+        assert got == [Permutation((1, 2, 3, 4))]
 
     def test_every_member_realizes_S(self):
         for pi in enumerate_Ih(H2, S_QUAD, 6):
@@ -82,9 +77,7 @@ class TestEnumerateIh:
                 ]
 
     def test_structured_empty_set(self):
-        assert enumerate_Ih_structured(H2, PairSet(), 3) == [
-            Permutation.identity(3).word
-        ]
+        assert enumerate_Ih_structured(H2, PairSet(), 3) == [(1, 2, 3)]
         assert enumerate_Ih_structured(H2, PairSet(), 3, (2, 2)) == [(1, 2, 3)]
         assert enumerate_Ih_structured(H2, PairSet(), 3, (2, 1)) == []
 
@@ -139,21 +132,21 @@ class TestBkAndAStar:
             B_k_set(H3, S_FIVE, 7, 7)
 
     def test_a_star_counts(self):
-        assert [len(A_star_set(H2, S_QUAD, k)) for k in range(3)] == [0, 2, 1]
+        assert [len(A) for A in A_star_sets(H2, S_QUAD)] == [0, 2, 1]
 
     def test_a_star_empty_below_zero(self):
-        # range(hm, hm + k) is empty for every k <= 0, so a negative k
-        # must not fall through to the A*_0 words
+        # the sets are indexed k = 0 .. m, so no k < 0 falls through to
+        # the A*_0 words
         S = PairSet([(1, 2)])
-        assert len(A_star_set(H2, S, 0)) == 1
-        assert A_star_set(H2, S, -1) == []
-        assert A_star_set(H2, S_QUAD, -2) == []
+        sets = A_star_sets(H2, S)
+        assert len(sets) == S.m() + 1
+        assert len(sets[0]) == 1
 
     def test_a_star_sets_disjoint_interval_condition(self):
         # members whose high entries form a non-initial subset of
         # [h(m), N] (here {5} instead of {4}) belong to no A*_k
         m, hm = S_QUAD.m(), H2.h(S_QUAD.m())
-        sets = [set(A_star_set(H2, S_QUAD, k)) for k in range(m + 1)]
+        sets = [set(A) for A in A_star_sets(H2, S_QUAD)]
         assert sets == [set(), {(2, 4, 1, 3, 5), (3, 4, 1, 2, 5)},
                         {(4, 5, 1, 2, 3)}]
         all_members = {p.word for p in enumerate_Ih(H2, S_QUAD, m + hm - 1)}

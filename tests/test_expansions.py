@@ -45,7 +45,7 @@ class TestFiberExpansion:
         res = fiber_expansion(H3, S_FIVE)
         assert res.coeffs.to_json() == {"5": 3}
         assert res.validity_floor == 6
-        assert [res.eval_raw(n) for n in (6, 7, 8)] == [3, 6, 9]
+        assert [res.poly(n) for n in (6, 7, 8)] == [3, 6, 9]
 
     def test_quadratic_example(self):
         res = fiber_expansion(H2, S_QUAD)
@@ -60,7 +60,7 @@ class TestFiberExpansion:
 
     def test_empty_set_is_constant_one(self):
         res = fiber_expansion(H2, PairSet())
-        assert res.eval_raw(5) == 1
+        assert res.poly(5) == 1
 
     def test_rejects_inadmissible(self):
         with pytest.raises(InadmissibleSetError):

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CORPUS_H, h_id
+from oracles import complete
 from invpoly import (
     HSequence,
     PairSet,
@@ -44,10 +45,6 @@ def graded_grouping(n, pairs):
         lengths = out.setdefault(mask, {})
         lengths[length] = lengths.get(length, 0) + 1
     return out
-
-
-def complete(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def mahonian(n):

@@ -11,7 +11,6 @@ from invpoly import (
     HSequence,
     PairSet,
     Permutation,
-    Poset,
     enumerate_Ih,
     enumerate_admissible,
     fiber_data,
@@ -20,13 +19,14 @@ from invpoly import (
     inv_h,
     is_admissible,
     is_log_concave,
-    is_pf2,
     linear_extensions,
     q_binom,
     t_of,
 )
 from invpoly.model import possible_pairs
-from invpoly.polynomials import BinomialPoly, q_binom_subset_model
+from invpoly.polynomials import BinomialPoly
+
+from oracles import flatten, is_pf2, q_binom_subset_model, random_poset
 
 
 def h_strategy():
@@ -82,7 +82,7 @@ def test_flatten_preserves_h_inversions_within_window(word, k):
     """inv_h of the flattened prefix equals inv_h pairs inside [k]."""
     h = HSequence((), 2)
     pi = Permutation(tuple(word))
-    flat = pi.flatten(k)
+    flat = flatten(pi, k)
     inner = PairSet(p for p in inv_h(h, pi) if p[1] <= k)
     assert inv_h(h, flat) == inner
 
@@ -116,7 +116,7 @@ def test_fiber_partition_sizes(h):
             members = enumerate_Ih(h, S, n)
             by_base = {}
             for pi in members:
-                by_base.setdefault(pi.flatten(j).word, []).append(pi)
+                by_base.setdefault(flatten(pi, j).word, []).append(pi)
             assert set(by_base) <= set(data)
             assert sum(len(v) for v in by_base.values()) == len(members)
             # each fiber has the predicted binomial size
@@ -154,28 +154,13 @@ def test_pf2_iff_log_concave_and_contiguous(values):
     )
 
 
-def random_poset(rng, size):
-    """Random poset: transitive closure of a random acyclic relation set."""
-    gens = [
-        (a, b)
-        for a in range(1, size + 1)
-        for b in range(a + 1, size + 1)
-        if rng.random() < 0.4
-    ]
-    # relabel so acyclicity is free (edges go up), then shuffle labels
-    relabel = list(range(1, size + 1))
-    rng.shuffle(relabel)
-    gens = [(relabel[a - 1], relabel[b - 1]) for a, b in gens]
-    return Poset.from_relations(size, gens)
-
-
 def test_stanley_on_random_posets():
     """Height sequences of 500 seeded random posets are log-concave with
     contiguous support (Stanley's theorem)."""
     rng = random.Random(20260824)
     for _ in range(500):
         size = rng.randint(2, 7)
-        P = random_poset(rng, size)
+        P, _ = random_poset(rng, size, 0.4)
         v = rng.randint(1, size)
         heights = height_sequence(P, v)
         assert sum(heights) == len(linear_extensions(P))

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from conftest import CORPUS_H
+from conftest import CORPUS_H, h_id
+from oracles import complete
 from invpoly import HSequence, poincare, possible_pairs
 from invpoly import kernels
 
@@ -53,10 +54,6 @@ def grouping(n, pairs):
                 mask |= bit
         counts[mask] = counts.get(mask, 0) + 1
     return counts
-
-
-def complete(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def masks(n, pairs):
@@ -107,10 +104,6 @@ def test_more_pairs_than_a_machine_word():
 def test_admissible_counts_windows(h, n):
     pairs = possible_pairs(h, n).pairs
     assert kernels.admissible_counts(n, pairs) == grouping(n, pairs)
-
-
-def h_id(h):
-    return f"prefix-{''.join(map(str, h.prefix))}" if h.prefix else f"tail{h.tail_offset}"
 
 
 @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
