@@ -5,9 +5,9 @@ file; output is human-readable by default, machine JSON with --json-out.
 
 verify runs the invariant suite: one graded grouping sweep of S_n per
 n <= cap serves as the oracle for every set, for the counts and the
-graded expansion alike, and strong q-log-concavity is checked
-on the graded coefficients the suite has already built, for every set
-with h(m) <= cap.
+graded expansion alike, and strong q-log-concavity is checked on the
+graded coefficients the suite has already counted (graded.b_q_dp), for
+every set with h(m) <= cap.
 
 Exit codes: 0 ok, 1 verification failure, 2 inadmissible set (a
 nonempty set with no descent pair too), 3 bad input (unparsable,
@@ -293,12 +293,12 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
     """Cross-checks over every nonempty admissible set with j(S) <= cap.
 
     Each S_n, n <= cap, is swept once, grading every class by length
-    (enumeration.graded_admissible); nothing is listed.  When h(m) <= cap:
-    the graded expansion against those graded classes for n = h(m) .. cap,
-    and strong q-log-concavity of its coefficients.  Always: triple
-    expansion agreement against the class counts for n = j(S) .. cap,
-    coefficient conversion, the poset bridge, log-concavity, and degree
-    against constancy.
+    (enumeration.graded_admissible); nothing is listed.  When h(m) <= cap,
+    the graded coefficients come from graded.b_q_dp, and are checked
+    against those graded classes for n = h(m) .. cap and for strong
+    q-log-concavity.  Always: triple expansion agreement against the
+    class counts for n = j(S) .. cap, coefficient conversion, the poset
+    bridge, log-concavity, and degree against constancy.
     """
     failures, violations = [], []
     graded = {cap: enumeration.graded_admissible(hseq, cap)}  # the bound first
@@ -307,7 +307,7 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
     for S in sorted(S for S in graded[cap] if S):
         hm = hseq.h(S.m())
         if hm <= cap:
-            ge = graded_mod.b_q_coefficients(hseq, S)
+            ge = graded_mod.b_q_dp(hseq, S)
             for n in range(hm, cap + 1):
                 if graded_mod.graded_expansion_eval(ge, n) != graded[n].get(S, zero):
                     failures.append(f"{S}: graded expansion mismatch at n={n}")

@@ -1,8 +1,8 @@
 """Brute-force oracle over S_n and the constructive permutation sets.
 
 Everything here is exact.  Grouping S_n by restricted inversion set
-(enumerate_admissible, poincare, and graded_admissible, which also
-grades each class by length) is a full sweep over S_n: the kernel counts
+(enumerate_admissible, and graded_admissible, which also grades each
+class by length) is a full sweep over S_n: the kernel counts
 every permutation once, by direct comparisons, and only shares work
 among permutations whose prefixes have the same pattern or rank alike
 among the leftover values.  Each class becomes a PairSet decoded from
@@ -27,6 +27,8 @@ and never calls a kernel.  It takes the order on positions 1..h(m) from
 posets.build_poset and adds only the relations past h(m), which S does
 not touch; an inadmissible set, which has no poset, counts zero.
 The listing of the A*_k sets that checks it lives with the tests.
+poincare sweeps nothing either: one packed pass of the same step over
+the 2^n sets of positions, with no order, counts S_n by h-inversions.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from invpoly import config, kernels
 from invpoly.errors import BoundExceededError, InadmissibleSetError, InputError
 from invpoly.model import HSequence, PairSet, Permutation, possible_pairs
 from invpoly.polynomials import QPoly
-from invpoly.posets import build_poset, ideal_step
+from invpoly.posets import build_poset, ideal_pass, ideal_step
 
 
 def _check_bound(n: int) -> None:
@@ -180,7 +182,7 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     for i, j in possible_pairs(h, n):
         if j > hm:
             lower[j - 1] |= 1 << (i - 1)
-    steps = [(1 << p, low) for p, low in enumerate(lower)]
+    steps = [(1 << p, low, 0) for p, low in enumerate(lower)]
     layer = {0: 1}
     for _ in range(hm - 1):
         layer = ideal_step(layer, steps)
@@ -224,12 +226,18 @@ def poincare(h: HSequence, n: int) -> QPoly:
 
     For an indecomposable Hessenberg function this is the Poincare
     polynomial of the associated regular semisimple Hessenberg variety.
+    Giving the values 1, 2, ... in turn, the value placed at p makes an
+    h-inversion with each filled position of (p, h(p)]; so in one packed
+    pass over the sets of positions (posets.ideal_pass), slot s counts
+    the permutations with s h-inversions.
     """
     _check_bound(n)
-    window = possible_pairs(h, n)
-    cs = [0] * (2 * len(window) + 1)
-    for mask, c in kernels.admissible_counts(n, window).items():
-        cs[2 * mask.bit_count()] += c
+    right = [0] * n
+    for i, j in possible_pairs(h, n):  # InputError for n < 1
+        right[i - 1] |= 1 << (j - 1)
+    slots = ideal_pass([(1 << p, 0, r) for p, r in enumerate(right)], n)
+    cs = [0] * (2 * len(slots) - 1)
+    cs[::2] = slots
     return QPoly(tuple(cs))
 
 

@@ -12,6 +12,7 @@ to its own slot, so a whole product is one int multiply.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,11 +246,13 @@ class QPoly:
         return " + ".join(bits)
 
 
+@functools.lru_cache(maxsize=256)
 def q_binom(n: int, k: int) -> QPoly:
     """Gaussian binomial via the Pascal recurrence [n,k] = [n-1,k-1] + q^k [n-1,k].
 
     Division-free and exact: one row of coefficient tuples, updated in
-    place from the right.
+    place from the right.  Cached: a QPoly is immutable, and the graded
+    expansions ask for the same few dozen (n, k) again and again.
     """
     if k < 0 or k > n:
         return QPoly.zero()

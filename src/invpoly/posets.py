@@ -10,15 +10,18 @@ A Poset holds its order as bitmasks only: bit a-1 of below[v-1] is set
 exactly when a < v.  from_relations closes generating relations once,
 with a Warshall pass over the masks; everything else reads them.
 
-Height sequences are counted over the lattice of order ideals, so their
-cost follows the number of ideals rather than the number of linear
-extensions; enumeration.a_counts runs the same layered step, ideal_step.
+ideal_step is the one step over the lattice of order ideals.  A weight
+is a q-polynomial packed into one int, which a step can multiply by a
+power of q, so one pass (ideal_pass) gives a generating function: the
+height sequence, enumeration.poincare and graded.b_q_dp; a_counts runs
+it on plain counts.  The cost follows the ideals, not the extensions;
 linear_extensions is kept for listing the extensions themselves.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from invpoly.errors import InputError, RouteDisagreementError
@@ -152,38 +155,39 @@ def _extend(below, placed, word, out):
             _extend(below, placed | 1 << w, word + (w + 1,), out)
 
 
-def ideal_step(layer: dict[int, int], steps) -> dict[int, int]:
-    """The next layer of the lattice of order ideals, with path counts.
+def ideal_step(layer: dict[int, int], steps, width: int = 0) -> dict[int, int]:
+    """The next layer of the lattice of order ideals, with packed weights.
 
-    layer maps ideals of one size, as bitmasks, to their number of ways;
-    steps lists (bit, low) for each element allowed to join, where low is
-    the bitmask of the elements that must come before it.  Every ideal
-    passes its count to each ideal one allowed element larger.
+    layer maps ideals of one size, as bitmasks, to their weights; steps
+    lists (bit, low, right) for each element allowed to join, where low
+    is the bitmask of the elements that must come before it.  An ideal
+    passes weight << width * #(ideal & right) to each ideal one allowed
+    element larger: a weight is a polynomial read at q = 2^width, and
+    the step multiplies it by q^s.  With right = 0 it is a path count.
     """
     nxt: dict[int, int] = {}
-    for ideal, count in layer.items():
-        for bit, low in steps:
+    for ideal, weight in layer.items():
+        for bit, low, right in steps:
             if not ideal & bit and low & ideal == low:
                 grown = ideal | bit
-                nxt[grown] = nxt.get(grown, 0) + count
+                nxt[grown] = nxt.get(grown, 0) + (weight << width * (ideal & right).bit_count())
     return nxt
 
 
-def _ideal_counts(lower: list[int], skip: int) -> dict[int, int]:
-    """Ideal -> number of ways to build it one element at a time.
-
-    Bit w stands for element w+1, and lower[w] is the bitmask of the
-    elements that must come before it.  Element w joins an ideal once
-    lower[w] lies inside it.  The element at index skip never joins, so
-    only the ideals without it are counted.
-    """
-    steps = [(1 << w, low) for w, low in enumerate(lower) if w != skip]
+def ideal_pass(steps, n: int) -> list[int]:
+    """The slots of the one weight left once all n elements have joined,
+    lowest first.  They are nonnegative and sum to at most n!, so
+    n!.bit_length() + 1 bits per slot keep them apart."""
+    width = math.factorial(n).bit_length() + 1
     layer = {0: 1}
-    counts = dict(layer)
-    while layer:
-        layer = ideal_step(layer, steps)
-        counts.update(layer)
-    return counts
+    for _ in range(n):
+        layer = ideal_step(layer, steps, width)
+    (weight,) = layer.values()
+    slots, full = [], (1 << width) - 1
+    while weight:
+        slots.append(weight & full)
+        weight >>= width
+    return slots
 
 
 def height_sequence(P: Poset, v: int) -> list[int]:
@@ -192,24 +196,15 @@ def height_sequence(P: Poset, v: int) -> list[int]:
     Counted over the lattice of order ideals (down-sets) as bitmasks,
     without listing any extension (De Loof, De Meyer & De Baets 2006).
     An extension adds one element at a time, from the empty ideal to the
-    ground set.  With e(D) the orderings of an ideal D and e'(U) the ways
-    to complete an ideal U to the ground set, v comes k-th exactly when
-    it is added to an ideal D of size k, so h_k = sum of e(D) e'(D + v)
-    over the ideals D of size k without v whose union with v is an ideal.
-    e' is the same count run in the dual order on the complement of U.
+    ground set, and v comes k-th exactly when it joins an ideal of size
+    k.  So in one packed pass in which v's step counts every element
+    before it and no other step counts any, h_k is slot k.
     """
-    vlow = P._mask(v)
-    n, below = P.ground, P.below
-    above = [sum(1 << u for u, low in enumerate(below) if low >> w & 1)
-             for w in range(n)]
-    into = _ideal_counts(below, v - 1)
-    out_of = _ideal_counts(above, v - 1)  # keyed by the complement of U
-    rest = ((1 << n) - 1) ^ (1 << (v - 1))
-    heights = [0] * n
-    for ideal, count in into.items():
-        if vlow & ideal == vlow:
-            heights[ideal.bit_count()] += count * out_of[rest ^ ideal]
-    return heights
+    P._mask(v)
+    n = P.ground
+    heights = ideal_pass([(1 << w, low, (1 << n) - 1 if w == v - 1 else 0)
+                          for w, low in enumerate(P.below)], n)
+    return heights + [0] * (n - len(heights))
 
 
 def height_support_bounds(P: Poset, v: int) -> tuple[int, int]:

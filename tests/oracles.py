@@ -23,6 +23,31 @@ def complete(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def graded_grouping(n, pairs):
+    """Inversion bitmask over pairs, each (i, j) with i < j <= n ->
+    {length: permutations of [n] with both}, testing every pair of
+    positions on every permutation."""
+    bits = {p: 1 << b for b, p in enumerate(pairs)}
+    idx = [(i - 1, j - 1, bits.get((i, j), 0)) for i, j in complete(n)]
+    out = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        mask = length = 0
+        for a, b, bit in idx:
+            if perm[a] > perm[b]:
+                mask |= bit
+                length += 1
+        lengths = out.setdefault(mask, {})
+        lengths[length] = lengths.get(length, 0) + 1
+    return out
+
+
+def grouping(n, pairs):
+    """Inversion bitmask over pairs -> permutations of [n] with it: the
+    classes of graded_grouping, their lengths summed."""
+    return {mask: sum(lengths.values())
+            for mask, lengths in graded_grouping(n, pairs).items()}
+
+
 def flatten(pi, k):
     """The first k entries of pi relabelled to a permutation of [k],
     keeping their relative order."""

@@ -330,16 +330,21 @@ class TestOtherCommands:
 
     def test_violation_report_end_to_end(self, runner, monkeypatch):
         # forge (1+q, 1, 1+q), which is not strongly q-log-concave, as the
-        # graded coefficients of the m = 2 sets; the others stay real
-        h, real = HSequence((), 2), graded.b_q_coefficients
+        # graded coefficients of the m = 2 sets, in both routes that give
+        # them (verify-conjecture lists, verify counts by DP); the others
+        # stay real
+        h = HSequence((), 2)
         forged_seq = (QPoly((1, 1)), QPoly.one(), QPoly((1, 1)))
 
-        def forged(h, S):
-            if S.m() == 2:
-                return graded.GradedExpansion(h.h(2), 2, forged_seq)
-            return real(h, S)
+        def forge(real):
+            def forged(h, S):
+                if S.m() == 2:
+                    return graded.GradedExpansion(h.h(2), 2, forged_seq)
+                return real(h, S)
+            return forged
 
-        monkeypatch.setattr(graded, "b_q_coefficients", forged)
+        for route in ("b_q_coefficients", "b_q_dp"):
+            monkeypatch.setattr(graded, route, forge(getattr(graded, route)))
         # the first failing pair of the plain formula b_i b_j - b_(i-1) b_(j+1)
         at = lambda p: forged_seq[p] if 0 <= p < 3 else QPoly.zero()
         first = None

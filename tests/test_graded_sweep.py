@@ -1,12 +1,11 @@
 """The graded grouping sweep and the class decoder.
 
-kernels.graded_admissible_counts is compared with a plain S_n sweep
-written out here, and enumeration.graded_admissible with the listing
+kernels.graded_admissible_counts is compared with the plain S_n sweep
+oracles.graded_grouping, and enumeration.graded_admissible with the listing
 oracle graded_Ih_oracle.  The decoder is compared with the bit-by-bit
 rule it replaced.
 """
 
-import itertools
 import math
 import random
 
@@ -14,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CORPUS_H, h_id
-from oracles import complete
+from oracles import complete, graded_grouping
 from invpoly import (
     HSequence,
     PairSet,
@@ -28,23 +27,6 @@ from invpoly.cli import main, run_invariant_suite
 from invpoly.errors import BoundExceededError
 
 H3 = HSequence((), 3)
-
-
-def graded_grouping(n, pairs):
-    """Inversion bitmask -> {length: permutations of [n] with both},
-    testing every pair and counting every inversion on every permutation."""
-    idx = [(i - 1, j - 1, 1 << b) for b, (i, j) in enumerate(pairs)]
-    out = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        mask = 0
-        for a, b, bit in idx:
-            if perm[a] > perm[b]:
-                mask |= bit
-        length = sum(1 for a, b in itertools.combinations(range(n), 2)
-                     if perm[a] > perm[b])
-        lengths = out.setdefault(mask, {})
-        lengths[length] = lengths.get(length, 0) + 1
-    return out
 
 
 def mahonian(n):

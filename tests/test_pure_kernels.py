@@ -1,9 +1,9 @@
 """Parity of the kernels with a plain S_n sweep.
 
-The sweeps below are written out here, independent of invpoly's kernels.
-Matching is compared with exact list equality, so the lexicographic
-output order is pinned too; grouping is compared with exact dict
-equality.
+The sweeps are written out here and in oracles.grouping, independent
+of invpoly's kernels.  Matching is compared with exact list equality,
+so the lexicographic output order is pinned too; grouping is compared
+with exact dict equality.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import random
 import pytest
 
 from conftest import CORPUS_H, h_id
-from oracles import complete
+from oracles import complete, grouping
 from invpoly import HSequence, poincare, possible_pairs
 from invpoly import kernels
 
@@ -40,20 +40,6 @@ def sweep(n, m, pairs):
                 mask |= 1 << b
         groups.setdefault(mask, []).append(perm)
     return groups
-
-
-def grouping(n, pairs):
-    """Inversion bitmask -> number of permutations of [n] with that mask,
-    testing every pair on every permutation."""
-    idx = [(i - 1, j - 1, 1 << b) for b, (i, j) in enumerate(pairs)]
-    counts = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        mask = 0
-        for a, b, bit in idx:
-            if perm[a] > perm[b]:
-                mask |= bit
-        counts[mask] = counts.get(mask, 0) + 1
-    return counts
 
 
 def masks(n, pairs):
