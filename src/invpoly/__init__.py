@@ -14,7 +14,6 @@ from invpoly.enumeration import (
     graded_Ih_oracle,
     graded_admissible,
     poincare,
-    t_of,
 )
 from invpoly.expansions import (
     ExpansionResult,

@@ -7,7 +7,9 @@ verify runs the invariant suite: one graded grouping sweep of S_n per
 n <= cap serves as the oracle for every set, for the counts and the
 graded expansion alike, and strong q-log-concavity is checked on the
 graded coefficients the suite has already counted (graded.b_q_dp), for
-every set with h(m) <= cap.
+every set with h(m) <= cap.  Each sweep's classes are also checked
+against the count and rank generating function of the acyclic
+orientations of the window graph (_orientation_checks).
 
 Exit codes: 0 ok, 1 verification failure, 2 inadmissible set (a
 nonempty set with no descent pair too), 3 bad input (unparsable,
@@ -22,6 +24,7 @@ errors, such as a bad flag value or an unknown command, also exit 2.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -298,11 +301,14 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
     against those graded classes for n = h(m) .. cap and for strong
     q-log-concavity.  Always: triple expansion agreement against the
     class counts for n = j(S) .. cap, coefficient conversion, the poset
-    bridge, log-concavity, and degree against constancy.
+    bridge, log-concavity, and degree against constancy.  Each sweep's
+    classes are also held to the two theorems of _orientation_checks.
     """
     failures, violations = [], []
     graded = {cap: enumeration.graded_admissible(hseq, cap)}  # the bound first
     graded.update((n, enumeration.graded_admissible(hseq, n)) for n in range(1, cap))
+    for n in range(1, cap + 1):
+        failures.extend(_orientation_checks(hseq, n, graded[n]))
     zero = polynomials.QPoly.zero()
     for S in sorted(S for S in graded[cap] if S):
         hm = hseq.h(S.m())
@@ -338,6 +344,30 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
             failures.append(f"{S}: constancy/degree mismatch")
     if violations:
         failures.append(f"strong q-log-concavity violations: {violations}")
+    return failures
+
+
+def _orientation_checks(hseq: model.HSequence, n: int, classes) -> list[str]:
+    """The classes of S_n, the empty set included, are the admissible
+    sets: the acyclic orientations of the graph on [n] whose edges are
+    the window pairs (a pair of S points down, any other up).  The
+    graph is a unit-interval graph, and inserting i into the order of
+    its later neighbours gives c_i + 1 choices, c_i = min(h(i), n) - i.
+    So there are prod (c_i + 1) classes (Stanley 1973), and their rank
+    generating function sum t^|S| is prod [c_i + 1]_t (Bjorner, Edelman
+    & Ziegler 1990).  A failure line for each theorem that fails."""
+    sizes = [min(hseq.h(i), n) - i + 1 for i in range(1, n + 1)]
+    rank = polynomials.QPoly.one()
+    for size in sizes:
+        rank = rank * polynomials.QPoly((1,) * size)
+    failures = []
+    if len(classes) != math.prod(sizes):
+        failures.append(
+            f"n={n}: {len(classes)} admissible sets, expected {math.prod(sizes)}")
+    got = polynomials.QPoly.from_exponents(len(S) for S in classes)
+    if got != rank:
+        failures.append(
+            f"n={n}: rank generating function {got}, expected {rank}")
     return failures
 
 

@@ -21,12 +21,13 @@ word tuples; only the entry point enumerate_Ih makes them Permutations.
 The kernels are in invpoly.kernels.
 
 fiber_data maps each base point of I_h(S, j(S)) to its t-value, in the
-lister's order.  a_counts lists nothing: it counts the a-window
-m+h(m)-1 over the order ideals of that same order (posets.ideal_step),
-and never calls a kernel.  It takes the order on positions 1..h(m) from
-posets.build_poset and adds only the relations past h(m), which S does
-not touch; an inadmissible set, which has no poset, counts zero.
-The listing of the A*_k sets that checks it lives with the tests.
+lister's order, and b_counts reads the window h(m); when j(S) = h(m)
+they read one listing, kept for the second call by a one-entry cache
+(_listing).  a_counts lists nothing: it counts the a-window m+h(m)-1
+over the order ideals of that same order (posets.ideal_step), and never
+calls a kernel.  It reads the order from posets.position_order on all
+m+h(m)-1 positions; an inadmissible set, which has no order, counts
+zero.  The listing of the A*_k sets that checks it lives with the tests.
 poincare sweeps nothing either: one packed pass of the same step over
 the 2^n sets of positions, with no order, counts S_n by h-inversions.
 """
@@ -39,7 +40,7 @@ from invpoly import config, kernels
 from invpoly.errors import BoundExceededError, InadmissibleSetError, InputError
 from invpoly.model import HSequence, PairSet, Permutation, possible_pairs
 from invpoly.polynomials import QPoly
-from invpoly.posets import build_poset, ideal_pass, ideal_step
+from invpoly.posets import ideal_pass, ideal_step, position_order
 
 
 def _check_bound(n: int) -> None:
@@ -118,20 +119,25 @@ def enumerate_Ih_structured(
     return kernels.matching_perms_sorted_suffix(n, S.m(), possible_pairs(h, n), mask, at)
 
 
-def t_of(sigma: tuple[int, ...], h: HSequence, S: PairSet) -> int:
-    """max sigma_k over positions k with k < j(S)+1 <= h(k)."""
-    j = S.j()
-    return max(sigma[k - 1] for k in range(1, j + 1) if h.h(k) >= j + 1)
+@lru_cache(maxsize=1)
+def _listing(h: HSequence, S: PairSet, n: int) -> tuple[tuple[int, ...], ...]:
+    """enumerate_Ih_structured(h, S, n), kept until the next key: when
+    j(S) = h(m), fiber_data and b_counts of one set read one listing."""
+    return tuple(enumerate_Ih_structured(h, S, n))
 
 
 def fiber_data(h: HSequence, S: PairSet) -> dict[tuple[int, ...], int]:
     """Each base point of I_h(S, j(S)), S nonempty and admissible, mapped
     to its t-value, in the lister's (lexicographic) order.  Listed with no
-    brute-force cap."""
-    return {
-        sigma: t_of(sigma, h, S)
-        for sigma in enumerate_Ih_structured(h, S, S.j())
-    }
+    brute-force cap.
+
+    The t-value is the largest entry at the positions k <= j(S) with
+    h(k) >= j(S)+1.  h is weakly increasing, so those positions are an
+    interval lo..j(S), found once per set: t is the max of a slice.
+    """
+    j = S.j()
+    lo = next(k for k in range(j) if h.h(k + 1) > j)  # k = j - 1 qualifies
+    return {sigma: max(sigma[lo:j]) for sigma in _listing(h, S, j)}
 
 
 def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[tuple[int, ...]]:
@@ -149,7 +155,7 @@ def b_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     m = S.m()
     hm = h.h(m)
     counts = [0] * (m + 1)
-    for w in enumerate_Ih_structured(h, S, hm):
+    for w in _listing(h, S, hm):
         counts[w[hm - 1] - (hm - m)] += 1  # w rises after m: hm-m <= k <= hm
     return tuple(counts)
 
@@ -158,17 +164,17 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     """Sizes of A*_k for k = 0 .. m, counted over order ideals.
 
     The members of I_h(S, n), n = m + h(m) - 1, are the linear extensions
-    of an order on the positions: build_poset's order on 1 .. h(m), and
-    each later position above every earlier one its window reaches (no
-    pair of S ends past h(m)).  Giving the values 1, 2, ... in turn, a
-    word lies in A*_k exactly when the values h(m) .. h(m)+k-1 go to the
-    k head positions (1 .. m) left empty by the values below h(m), and
-    the rest fill the suffix in order.  So a_k sums, over the ideals D
-    reached after h(m)-1 values with k head positions empty, e(D) times
-    the head-only paths from D to D + head.  Every such path ends in a
-    word: m is the last descent of an admissible S, so no pair of S
-    starts after m, and every other pair puts a suffix position above an
-    earlier one; once the head is full, the suffix fills in order.
+    of position_order(h, S, n): past h(m) each position lies above every
+    earlier one its window reaches, as no pair of S ends there.  Giving
+    the values 1, 2, ... in turn, a word lies in A*_k exactly when the
+    values h(m) .. h(m)+k-1 go to the k head positions (1 .. m) left
+    empty by the values below h(m), and the rest fill the suffix in
+    order.  So a_k sums, over the ideals D reached after h(m)-1 values
+    with k head positions empty, e(D) times the head-only paths from D
+    to D + head.  Every such path ends in a word: m is the last descent
+    of an admissible S, so no pair of S starts after m, and every other
+    pair puts a suffix position above an earlier one; once the head is
+    full, the suffix fills in order.
     Nothing is listed: the cost follows the ideals, at most 2^m h(m).
     """
     m = S.m()
@@ -176,13 +182,10 @@ def a_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
     n = m + hm - 1
     counts = [0] * (m + 1)
     try:
-        lower = list(build_poset(h, S).below) + [0] * (n - hm)
+        lower = position_order(h, S, n)
     except InadmissibleSetError:
         return tuple(counts)
-    for i, j in possible_pairs(h, n):
-        if j > hm:
-            lower[j - 1] |= 1 << (i - 1)
-    steps = [(1 << p, low, 0) for p, low in enumerate(lower)]
+    steps = [(1 << p | low, low, 0) for p, low in enumerate(lower)]
     layer = {0: 1}
     for _ in range(hm - 1):
         layer = ideal_step(layer, steps)

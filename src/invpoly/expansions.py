@@ -6,6 +6,10 @@ statistics), and the a-coefficients (high-entry prefix statistics).  Each
 result carries the smallest n at which its formula is guaranteed to
 count; evaluating as a count below that floor raises, while the
 polynomial itself, res.poly(n), evaluates at any integer n.
+
+degree_of and is_constant each check a poset criterion against a
+direct one; the poset side reads posets.position_order's generating
+masks, and no Poset is built.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from invpoly.errors import (
 )
 from invpoly.model import HSequence, PairSet, require_admissible
 from invpoly.polynomials import BinomialPoly, CoeffSeq, binom
-from invpoly.posets import build_poset, d_S_of
+from invpoly.posets import d_S_of, position_order
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def is_constant(h: HSequence, S: PairSet) -> bool:
 
     Checked two equivalent ways: the condition scan over i <= m (no i is
     both S-saturated above and S-free below) and the poset criterion
-    (h(m) is the unique maximal element).  A disagreement would be a bug.
+    (h(m) is the unique maximal element of position_order's order).  A
+    disagreement would be a bug.
     """
     if not S:
         return True
@@ -156,8 +161,12 @@ def is_constant(h: HSequence, S: PairSet) -> bool:
 
     by_scan = not any(scan_hit(i) for i in range(1, m + 1))
 
-    P = build_poset(h, S)
-    by_poset = P.maximal_elements() == {h.h(m)}
+    # the maximal elements are the positions no generating mask holds
+    hm = h.h(m)
+    under = 0
+    for low in position_order(h, S, hm):
+        under |= low
+    by_poset = ((1 << hm) - 1) & ~under == 1 << (hm - 1)
     if by_scan != by_poset:
         raise RouteDisagreementError(
             f"constancy criteria disagree on {S}: scan {by_scan}, poset {by_poset}"

@@ -21,7 +21,7 @@ from invpoly.errors import (
 )
 from invpoly.model import HSequence, PairSet, length, require_admissible
 from invpoly.polynomials import QPoly, q_binom, q_seq_strongly_log_concave
-from invpoly.posets import build_poset, ideal_pass
+from invpoly.posets import ideal_pass, position_order
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,23 @@ def b_q_coefficients(h: HSequence, S: PairSet) -> GradedExpansion:
 def b_q_dp(h: HSequence, S: PairSet) -> GradedExpansion:
     """Every b_k(q) in one packed pass over the order ideals of the poset.
 
-    The words of I_h(S, h(m)) are the linear extensions of build_poset's
-    order on the positions, filled with the values 1, 2, ... in turn; the
-    value placed at p makes an inversion with each filled position right
-    of p, which the step of p counts (posets.ideal_step).  The step of
-    h(m) sets span tag bits above h(m), which every later step counts,
-    and h(m) takes the value k when h(m) - k steps come later.  So a word
-    of length l < span in B_k(S, h(m)) lands in slot l + span * (h(m) - k).
+    The words of I_h(S, h(m)) are the linear extensions of the order
+    that posets.position_order puts on the positions 1..h(m), filled
+    with the values 1, 2, ... in turn; the value placed at p makes an
+    inversion with each filled position right of p, which the step of p
+    counts (posets.ideal_step).  The step of h(m) sets span tag bits
+    above h(m), which every later step counts, and h(m) takes the value
+    k when h(m) - k steps come later.  So a word of length l < span in
+    B_k(S, h(m)) lands in slot l + span * (h(m) - k).
     """
     m = S.m()
     hm = h.h(m)
-    below = build_poset(h, S).below
+    below = position_order(h, S, hm)
     span = hm * (hm - 1) // 2 + 1
     tag = ((1 << span) - 1) << hm
-    steps = [(1 << p, low, (1 << hm) - (2 << p) | tag) for p, low in enumerate(below[:-1])]
-    steps.append(((1 << hm - 1) | tag, below[-1], 0))
+    steps = [(1 << p | low, low, (1 << hm) - (2 << p) | tag)
+             for p, low in enumerate(below[:-1])]
+    steps.append((1 << hm - 1 | tag | below[-1], below[-1], 0))
     slots = ideal_pass(steps, hm)
     return GradedExpansion(hm, m, tuple(
         QPoly(tuple(slots[span * (hm - k):span * (hm - k + 1)]))

@@ -22,13 +22,13 @@ from invpoly.errors import InputError
 
 
 def binom(n: int, k: int) -> int:
-    """Falling-factorial binomial: n(n-1)...(n-k+1)/k!, any integer n."""
+    """Falling-factorial binomial: n(n-1)...(n-k+1)/k!, any integer n.
+    For n < 0 by reflection: binom(n, k) = (-1)^k binom(k-n-1, k)."""
     if k < 0:
         return 0
-    num = 1
-    for t in range(k):
-        num *= n - t
-    return num // math.factorial(k)
+    if n < 0:
+        return -math.comb(k - n - 1, k) if k & 1 else math.comb(k - n - 1, k)
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Posets attached to admissible sets, linear extensions, height sequences.
 
-The poset lives on [h(m)].  Pairs of S point downward (i above j) and
-complement pairs within the window point upward; the transitive closure
-of those relations is a partial order exactly when S is admissible.
-build_poset is the one home of that rule: enumeration.a_counts extends
-its order past h(m), and only the matching kernel builds its own.
+The order lives on positions.  Pairs of S point downward (i above j)
+and complement pairs within the window point upward; the transitive
+closure of those relations is a partial order exactly when S is
+admissible.  position_order is the one home of that rule: it returns the
+generating masks on positions 1..n, unclosed, and every count route
+reads them (the ideal step needs no closure, as the ideals it reaches
+are down-sets).  build_poset closes them on [h(m)] into a Poset, for the
+poset command, golden replay and the tests; only the matching kernel
+builds its own order.
 
 A Poset holds its order as bitmasks only: bit a-1 of below[v-1] is set
 exactly when a < v.  from_relations closes generating relations once,
@@ -69,12 +73,6 @@ class Poset:
         self._mask(v)
         return {b for b, low in enumerate(self.below, start=1) if low >> (v - 1) & 1}
 
-    def maximal_elements(self) -> set[int]:
-        under = 0
-        for low in self.below:
-            under |= low
-        return set(_elements(((1 << self.ground) - 1) & ~under))
-
     def cover_relations(self) -> list[tuple[int, int]]:
         covers = []
         for b, low in enumerate(self.below, start=1):
@@ -112,19 +110,37 @@ class Poset:
 
 
 @functools.lru_cache(maxsize=16)
-def build_poset(h: HSequence, S: PairSet) -> Poset:
-    """The order on [h(m)] induced by S and its windowed complement.
+def position_order(h: HSequence, S: PairSet, n: int) -> tuple[int, ...]:
+    """The generating masks of the order S puts on positions 1..n: bit
+    a-1 of the mask of b is set when a window pair makes a < b.  A pair
+    (i, j) of S puts j below i; every other pair of possible_pairs(h, n)
+    puts i below j.  Not closed: the masks are the relations themselves.
 
-    Cached: enumeration.a_counts, b_from_heights, d_S_of and is_constant
-    each ask for the poset of the set in hand, one after another.  The
-    cache is kept small, as it only has to serve those repeats.
+    Checks S once (require_admissible), so no cyclic order reaches a
+    count.  Cached: the routes of one set ask for it one after another,
+    so the cache is kept small.
     """
     require_admissible(h, S)
-    hm = h.h(S.m())
+    below = [0] * n
     s_pairs = set(S)
+    for i, j in possible_pairs(h, n):
+        if (i, j) in s_pairs:
+            below[i - 1] |= 1 << (j - 1)
+        else:
+            below[j - 1] |= 1 << (i - 1)
+    return tuple(below)
+
+
+@functools.lru_cache(maxsize=16)
+def build_poset(h: HSequence, S: PairSet) -> Poset:
+    """The order on [h(m)] induced by S and its windowed complement: the
+    closure of position_order(h, S, h(m)).  Only the poset command, golden
+    replay and the tests need the closed, validated Poset."""
+    require_admissible(h, S)  # before S.m(): an empty set is inadmissible
+    hm = h.h(S.m())
+    below = position_order(h, S, hm)
     return Poset.from_relations(hm, (
-        (j, i) if (i, j) in s_pairs else (i, j)  # i above j for pairs of S
-        for i, j in possible_pairs(h, hm)
+        (a, b) for b, low in enumerate(below, start=1) for a in _elements(low)
     ))
 
 
@@ -159,18 +175,24 @@ def ideal_step(layer: dict[int, int], steps, width: int = 0) -> dict[int, int]:
     """The next layer of the lattice of order ideals, with packed weights.
 
     layer maps ideals of one size, as bitmasks, to their weights; steps
-    lists (bit, low, right) for each element allowed to join, where low
-    is the bitmask of the elements that must come before it.  An ideal
-    passes weight << width * #(ideal & right) to each ideal one allowed
-    element larger: a weight is a polynomial read at q = 2^width, and
-    the step multiplies it by q^s.  With right = 0 it is a path count.
+    lists (join, low, right) for each element allowed to join, where low
+    is the bitmask of the elements that must come before it and join is
+    low with the element's own bit added.  The element can join exactly
+    when ideal & join == low, and then ideal | join is the grown ideal.
+    An ideal passes weight << width * #(ideal & right) to each ideal one
+    allowed element larger: a weight is a polynomial read at
+    q = 2^width, and the step multiplies it by q^s.  With right = 0 it
+    is a path count.
     """
     nxt: dict[int, int] = {}
     for ideal, weight in layer.items():
-        for bit, low, right in steps:
-            if not ideal & bit and low & ideal == low:
-                grown = ideal | bit
-                nxt[grown] = nxt.get(grown, 0) + (weight << width * (ideal & right).bit_count())
+        for join, low, right in steps:
+            if ideal & join == low:
+                grown = ideal | join
+                if right:
+                    nxt[grown] = nxt.get(grown, 0) + (weight << width * (ideal & right).bit_count())
+                else:  # most steps of a height or a count pass
+                    nxt[grown] = nxt.get(grown, 0) + weight
     return nxt
 
 
@@ -201,9 +223,15 @@ def height_sequence(P: Poset, v: int) -> list[int]:
     before it and no other step counts any, h_k is slot k.
     """
     P._mask(v)
-    n = P.ground
-    heights = ideal_pass([(1 << w, low, (1 << n) - 1 if w == v - 1 else 0)
-                          for w, low in enumerate(P.below)], n)
+    return _heights(P.below, v)
+
+
+def _heights(below, v: int) -> list[int]:
+    """height_sequence over masks below, closed or only generating: the
+    ideals the step reaches are down-sets either way."""
+    n = len(below)
+    heights = ideal_pass([(1 << w | low, low, (1 << n) - 1 if w == v - 1 else 0)
+                          for w, low in enumerate(below)], n)
     return heights + [0] * (n - len(heights))
 
 
@@ -217,24 +245,33 @@ def b_from_heights(h: HSequence, S: PairSet) -> CoeffSeq:
 
     Independent of the direct enumeration route: b_k = h_{k-1}(P, h(m)),
     reported for k = h(m)-m .. h(m).  The heights come from the
-    order-ideal count in height_sequence; no permutation is swept and no
-    linear extension is listed.
+    order-ideal count of height_sequence, run on position_order's masks;
+    no permutation is swept, no linear extension listed, no Poset built.
     """
     m = S.m()
     hm = h.h(m)
-    heights = height_sequence(build_poset(h, S), hm)
+    heights = _heights(position_order(h, S, hm), hm)
     return CoeffSeq(tuple(heights[k - 1] for k in range(hm - m, hm + 1)), hm - m)
 
 
 def d_S_of(h: HSequence, S: PairSet) -> int:
     """Number of elements weakly below h(m) in the poset.
 
-    Computed both by poset reachability and by the chain characterization
+    Computed both by poset reachability (the down-set of h(m), walked
+    over position_order's masks) and by the chain characterization
     (increasing chains to h(m) through complement pairs); the two routes
     must agree.
     """
     hm = h.h(S.m())
-    by_poset = build_poset(h, S).below[hm - 1].bit_count() + 1
+    order = position_order(h, S, hm)
+    down, frontier = 0, order[hm - 1]
+    while frontier:
+        down |= frontier
+        reached = 0
+        for a in _elements(frontier):
+            reached |= order[a - 1]
+        frontier = reached & ~down
+    by_poset = down.bit_count() + 1
 
     # chain route: walk backwards from h(m) along complement pairs only
     window = possible_pairs(h, hm)

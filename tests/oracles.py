@@ -48,6 +48,13 @@ def grouping(n, pairs):
             for mask, lengths in graded_grouping(n, pairs).items()}
 
 
+def t_of(sigma, h, S):
+    """The t-value of a base point, by its definition: max sigma_k over
+    positions k with k < j(S)+1 <= h(k), tested one position at a time."""
+    j = S.j()
+    return max(sigma[k - 1] for k in range(1, j + 1) if h.h(k) >= j + 1)
+
+
 def flatten(pi, k):
     """The first k entries of pi relabelled to a permutation of [k],
     keeping their relative order."""

@@ -73,7 +73,7 @@ def test_inadmissible_sets_count_zero_like_the_sweep(tail, pairs):
 
 
 def test_a_route_checks_admissibility_once(monkeypatch):
-    # a_counts reads build_poset, whose check is a_expansion's, cached
+    # a_counts reads position_order, whose check is a_expansion's, cached
     h, S = HSequence((), 2), PairSet([(1, 3), (2, 3), (2, 4)])
     want = tuple(map(len, A_star_sets(h, S)))
     checked = []
@@ -89,15 +89,15 @@ def test_a_route_checks_admissibility_once(monkeypatch):
     assert checked == [S]
 
 
-def test_reads_the_order_of_S_from_build_poset(monkeypatch):
-    # handed the poset of another set with the same m, a_counts counts
-    # that set: all it knows of S beyond m is build_poset's order
+def test_reads_the_order_of_S_from_position_order(monkeypatch):
+    # handed the order of another set with the same m, a_counts counts
+    # that set: all it knows of S beyond m is position_order's masks
     h = HSequence((), 2)
     S, T = PairSet([(1, 3), (2, 3), (2, 4)]), PairSet([(1, 2), (1, 3), (2, 3)])
     assert S.m() == T.m() and a_counts(h, S) != a_counts(h, T)
     want = a_counts(h, T)
-    real = enumeration.build_poset
-    monkeypatch.setattr(enumeration, "build_poset", lambda h, S: real(h, T))
+    real = enumeration.position_order
+    monkeypatch.setattr(enumeration, "position_order", lambda h, S, n: real(h, T, n))
     assert a_counts(h, S) == want
 
 

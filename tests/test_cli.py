@@ -202,10 +202,7 @@ class TestExitCodes:
     def test_route_disagreement_is_5(self, runner, monkeypatch):
         # an order with no relations: the poset route to d_S then disagrees
         # with the chain route
-        monkeypatch.setattr(
-            posets, "build_poset",
-            lambda h, S: posets.Poset(h.h(S.m()), (0,) * h.h(S.m())),
-        )
+        monkeypatch.setattr(posets, "position_order", lambda h, S, n: (0,) * n)
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "4"])
         assert res.exit_code == 5
         assert res.output.startswith("error: d_S routes disagree")
@@ -451,6 +448,24 @@ class TestInvariantSuiteChecks:
 
         monkeypatch.setattr(enumeration, "graded_admissible", forged)
         self._verify_fails_with(runner, f"{self.S}: oracle mismatch at n=5")
+
+    def test_a_dropped_class_breaks_the_orientation_theorems(self, runner, monkeypatch):
+        real = enumeration.graded_admissible
+
+        def dropped(h, n):
+            classes = real(h, n)
+            if n == 4:
+                del classes[self.S]
+            return classes
+
+        monkeypatch.setattr(enumeration, "graded_admissible", dropped)
+        # tail-2 at n = 4: 3 * 3 * 2 * 1 = 18 sets, rank polynomial
+        # [3]_t^2 [2]_t, from which S (three pairs) drops one t^3
+        res = self._verify_fails_with(runner, "n=4: 17 admissible sets, expected 18")
+        lines = res.output.splitlines()
+        assert ("n=4: rank generating function 1 + 3*q + 5*q^2 + 4*q^3 + 3*q^4 + q^5, "
+                "expected 1 + 3*q + 5*q^2 + 5*q^3 + 3*q^4 + q^5") in lines, res.output
+        assert not any(line.startswith(("n=3:", "n=5:")) for line in lines)
 
     def test_coefficient_conversion_mismatch(self, runner, monkeypatch):
         real = expansions.a_from_b

@@ -19,15 +19,14 @@ from invpoly import (
     inv_h,
     is_constant,
     poincare,
-    t_of,
 )
-from invpoly import enumeration
+from invpoly import enumeration, kernels
 from invpoly.enumeration import enumerate_Ih_structured
 from invpoly.errors import BoundExceededError, InputError
 from invpoly.polynomials import QPoly
 
 from conftest import CORPUS_H, h_id
-from oracles import A_star_sets, length_split_check, words
+from oracles import A_star_sets, length_split_check, t_of, words
 
 H2 = HSequence((), 2)
 H3 = HSequence((), 3)
@@ -202,6 +201,37 @@ class TestPoincare:
     def test_t_equals_one_gives_factorial(self):
         for n in range(1, 7):
             assert poincare(H2, n).at_one() == math.factorial(n)
+
+
+@pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+def test_fiber_data_equals_t_of_per_word(h):
+    sets = [S for S in enumerate_admissible(h, 8) if S]
+    assert sets
+    for S in sets:
+        data = fiber_data(h, S)
+        assert data == {sigma: t_of(sigma, h, S) for sigma in data}, S
+        assert len(data) == len(enumerate_Ih(h, S, S.j())), S
+
+
+@pytest.mark.parametrize("h, same_window, calls", [
+    (HSequence((5, 5, 6, 6), 1), True, 1),
+    (H2, False, 2),
+])
+def test_fiber_and_b_share_one_listing_when_j_is_h_m(h, same_window, calls, monkeypatch):
+    S = next(S for S in sorted(enumerate_admissible(h, 5))
+             if S and (S.j() == h.h(S.m())) == same_window)
+    listed = []
+    listing = kernels.matching_perms_sorted_suffix
+
+    def counted(*args):
+        listed.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(kernels, "matching_perms_sorted_suffix", counted)
+    enumeration._listing.cache_clear()
+    fib, b = fiber_expansion(h, S), b_expansion(h, S)
+    assert len(listed) == calls, S
+    assert [fib.poly(n) for n in range(12)] == [b.poly(n) for n in range(12)]
 
 
 def test_routes_build_no_permutation(monkeypatch):

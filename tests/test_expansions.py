@@ -4,7 +4,6 @@ from invpoly import (
     CoeffSeq,
     HSequence,
     PairSet,
-    Poset,
     a_expansion,
     a_from_b,
     b_expansion,
@@ -134,10 +133,9 @@ class TestDegreeAndConstancy:
     def test_criteria_disagreement_raises(self, monkeypatch):
         # every element below h(m): the poset criterion says constant, the
         # scan does not
-        def star(h, S):
-            hm = h.h(S.m())
-            return Poset.from_relations(hm, [(a, hm) for a in range(1, hm)])
+        def star(h, S, n):
+            return (0,) * (n - 1) + ((1 << (n - 1)) - 1,)
 
-        monkeypatch.setattr(expansions, "build_poset", star)
+        monkeypatch.setattr(expansions, "position_order", star)
         with pytest.raises(RouteDisagreementError):
             is_constant(H2, S_QUAD)

@@ -33,6 +33,15 @@ class TestBinom:
     def test_negative_k_is_zero(self):
         assert binom(5, -1) == 0
 
+    def test_matches_the_falling_factorial_definition(self):
+        for n in range(-30, 31):
+            for k in range(-3, 21):
+                falling = 1
+                for t in range(k):
+                    falling *= n - t
+                want = falling // math.factorial(k) if k >= 0 else 0
+                assert binom(n, k) == want, (n, k)
+
 
 class TestBinomialPoly:
     def test_normalization_merges_terms(self):

@@ -8,18 +8,26 @@ from invpoly import (
     HSequence,
     PairSet,
     Poset,
+    a_from_b,
     b_expansion,
     b_from_heights,
     build_poset,
     d_S_of,
+    degree_of,
     enumerate_Ih,
+    enumerate_admissible,
     height_sequence,
     height_support_bounds,
+    is_constant,
     linear_extensions,
 )
 from invpoly import posets
+from invpoly.enumeration import a_counts
 from invpoly.errors import InputError, RouteDisagreementError
+from invpoly.graded import b_q_dp
+from invpoly.posets import position_order
 
+from conftest import CORPUS_H, h_id
 from oracles import random_poset, words
 
 H2 = HSequence((), 2)
@@ -47,7 +55,6 @@ class TestPoset:
     def test_down_up_maximal(self):
         assert P6.below[4 - 1] == 0b11  # {1, 2}
         assert P6.up_set(4) == {6}
-        assert P6.maximal_elements() == {6}
 
     def test_cover_relations(self):
         assert set(P6.cover_relations()) == {
@@ -176,8 +183,45 @@ class TestInducedPoset:
     def test_d_S_route_disagreement_raises(self, monkeypatch):
         # an order with no relations puts nothing below h(m); the chain
         # route still finds the elements below it
-        monkeypatch.setattr(
-            posets, "build_poset", lambda h, S: Poset(h.h(S.m()), (0,) * h.h(S.m()))
-        )
+        monkeypatch.setattr(posets, "position_order", lambda h, S, n: (0,) * n)
         with pytest.raises(RouteDisagreementError):
             d_S_of(H2, S_POSET)
+
+
+class TestPositionOrder:
+    """position_order's generating masks, the order every count route reads."""
+
+    @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+    def test_closure_is_the_order_of_the_members(self, h):
+        # a poset is the intersection of its linear extensions: a lies
+        # below b exactly when a's value is below b's in every member
+        for S in (S for S in enumerate_admissible(h, 6) if S):
+            for n in range(S.j(), S.j() + 3):
+                masks = position_order(h, S, n)
+                closed = Poset.from_relations(n, (
+                    (a, b) for b, low in enumerate(masks, start=1)
+                    for a in range(1, n + 1) if low >> (a - 1) & 1
+                ))
+                common = [(1 << n) - 1] * n
+                for pi in enumerate_Ih(h, S, n):
+                    filled = 0
+                    for p in pi.inverse().word:  # positions by value
+                        common[p - 1] &= filled
+                        filled |= 1 << (p - 1)
+                assert closed.below == tuple(common), (S, n)
+
+    def test_count_routes_build_no_poset(self, monkeypatch):
+        def refuse(cls, ground, relations):
+            raise AssertionError("a count route built a Poset")
+
+        monkeypatch.setattr(Poset, "from_relations", classmethod(refuse))
+        posets.build_poset.cache_clear()
+        with pytest.raises(AssertionError):
+            build_poset(H2, S_POSET)
+        for h in CORPUS_H:
+            for S in (S for S in enumerate_admissible(h, 6) if S):
+                m, hm = S.m(), h.h(S.m())
+                b = b_from_heights(h, S)
+                assert tuple(p.at_one() for p in b_q_dp(h, S).b_q) == b.values, S
+                assert a_counts(h, S) == a_from_b(b, m, hm).values, S
+                assert is_constant(h, S) == (degree_of(h, S) == 0), S

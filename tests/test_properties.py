@@ -21,12 +21,11 @@ from invpoly import (
     is_log_concave,
     linear_extensions,
     q_binom,
-    t_of,
 )
 from invpoly.model import possible_pairs
 from invpoly.polynomials import BinomialPoly
 
-from oracles import flatten, is_pf2, q_binom_subset_model, random_poset
+from oracles import flatten, is_pf2, q_binom_subset_model, random_poset, t_of
 
 
 def h_strategy():
