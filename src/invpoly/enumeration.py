@@ -2,18 +2,19 @@
 
 Everything here is exact.  Grouping S_n by restricted inversion set
 (enumerate_admissible, and graded_admissible, which also grades each
-class by length) is a full sweep over S_n: the kernel counts
-every permutation once, by direct comparisons, and only shares work
-among permutations whose prefixes have the same pattern or rank alike
-among the leftover values.  Each class becomes a PairSet decoded from
-its mask a byte at a time, through tables of pair tuples built once per
-sweep (_decoder).  Listing I_h(S, n) lists, with no dead ends and in
-lexicographic order, the linear extensions of the order that S puts on
-the positions: over all of S_n for the oracle entry
-points, and for the fiber base points and coefficient sets only the
-words that increase after the maximum descent, as every member of the
-target set does.  B_k_set lists B_k(S, n) directly, with value k pinned
-at position h(m) inside that search, so each of the m+1 calls of
+class by length) is a full sweep over S_n: the kernel counts every
+permutation once, by direct comparisons, and only shares work among
+permutations whose prefixes have the same pattern or rank alike among
+the leftover values, splitting each word where the pair list predicts
+the least work.  Each class becomes a PairSet decoded from its mask in
+three table lookups, one per third of the window, through tables of
+pair tuples built once per sweep (_decoder).  Listing I_h(S, n) lists,
+with no dead ends and in lexicographic order, the linear extensions of
+the order that S puts on the positions: over all of S_n for the oracle
+entry points, and for the fiber base points and coefficient sets only
+the words that increase after the maximum descent, as every member of
+the target set does.  B_k_set lists B_k(S, n) directly, with value k
+pinned at position h(m) inside that search, so each of the m+1 calls of
 b_q_coefficients lists only its own words; a pinned search can dead-end,
 but never past the pinned value.  A set's mask is one lookup per pair in
 a pair -> bit index of the window, cached per window.  Listings return
@@ -71,27 +72,23 @@ def _mask_of(S: PairSet, h: HSequence, n: int) -> int | None:
 def _decoder(window: tuple[tuple[int, int], ...]):
     """A function from a mask over window to the PairSet it selects.
 
-    The window is cut into chunks of 8 pairs, and each chunk gets a table,
-    built here, of the pair tuples its 256 bit patterns select; a mask is
-    then one table entry per chunk, joined in order.  window is sorted and
-    unique, so the pairs come out in order and need no validation.
+    The window is cut into three chunks of c = ceil(len / 3) pairs, and
+    each chunk gets a table, built here, of the pair tuples its 2^c bit
+    patterns select; a mask is then three table entries, joined in order.
+    A sweep at n <= 11 has c_i = min(h(i), n) - i <= 10 at every i, so
+    2^c is at most twice the number of its classes, prod (c_i + 1).
+    window is sorted and unique, so the pairs come out in order and need
+    no validation.
     """
-    chunks = []
-    for start in range(0, len(window), 8):
-        chunk = window[start:start + 8]
-        table = [()]
+    c = -(-len(window) // 3)
+    lo, mid, hi = tables = [[()], [()], [()]]
+    for t, table in enumerate(tables):
+        chunk = window[t * c:(t + 1) * c]
         for bits in range(1, 1 << len(chunk)):
             low = bits & -bits  # its pair comes first
             table.append((chunk[low.bit_length() - 1],) + table[bits ^ low])
-        chunks.append((start, table))
-
-    def decode(mask: int) -> PairSet:
-        pairs = ()
-        for start, table in chunks:
-            pairs += table[mask >> start & 255]
-        return PairSet._from_sorted(pairs)
-
-    return decode
+    full, c2, new = (1 << c) - 1, 2 * c, tuple.__new__  # PairSet._from_sorted, unbound
+    return lambda mask: new(PairSet, lo[mask & full] + mid[mask >> c & full] + hi[mask >> c2])
 
 
 def enumerate_Ih(h: HSequence, S: PairSet, n: int) -> list[Permutation]:

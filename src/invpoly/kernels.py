@@ -8,15 +8,16 @@ pairs fits, and callers compare sets with integer equality.
 Grouping (admissible_counts) is the full sweep over S_n and stays the
 honest oracle; graded_admissible_counts is the same sweep with each
 class split further by length.  Each permutation splits into a prefix
-and a suffix of the last four entries, and the prefix into a pattern
-(the relative order of its entries) and a set of values.  The patterns
-are walked once, the value sets once, and the suffix arrangements are
-tabulated once for each pattern of ranks that the prefix entries take
-among the values left for the suffix.  Every permutation is still
-exactly one (pattern, value set, arrangement) triple, and its mask still
-comes from direct comparisons: the split only shares work among the
-permutations that look alike to it.  Nothing outlives the call, so a
-repeated call sweeps again.
+and a suffix of the last r entries, and the prefix into a pattern
+(the relative order of its entries) and a set of values; r is chosen on
+each call, as the length in 2..6 with the least work that the pair list
+predicts (_cost).  The patterns are walked once, the value sets once,
+and the suffix arrangements are tabulated once for each pattern of ranks
+that the prefix entries take among the values left for the suffix.
+Every permutation is still exactly one (pattern, value set, arrangement)
+triple, and its mask still comes from direct comparisons: the split only
+shares work among the permutations that look alike to it.  Nothing
+outlives the call, so a repeated call sweeps again.
 
 Matching lists the permutations with a given mask exactly, as the linear
 extensions of the order that the mask puts on the positions (_match): a
@@ -30,11 +31,10 @@ that take it; a pinned search can dead-end, but no branch outlives the
 placing of the pinned value.  The matches come out sorted.
 """
 
+import collections
 import functools
 import itertools
-
-
-_SUFFIX = 4  # length r of the suffix that the grouping sweep tabulates
+import math
 
 
 def admissible_counts(n, pairs):
@@ -65,10 +65,11 @@ def _sweep(n, pairs, shift):
 
     With shift 0 no length is kept and the key is the mask alone.
 
-    Each permutation splits at position k = n - r, r = min(_SUFFIX, n),
-    into a prefix and a suffix.  The prefix is a pattern (the relative
-    order of its k entries, a permutation of range(k)) placed on a
-    k-subset v_0 < ... < v_{k-1} of the values; the suffix is an
+    Each permutation splits at position k = n - r into a prefix and a
+    suffix, where r is the length in 2..min(6, n) whose predicted work
+    (_cost) is least, the shorter on a tie.  The prefix is a pattern (the
+    relative order of its k entries, a permutation of range(k)) placed on
+    a k-subset v_0 < ... < v_{k-1} of the values; the suffix is an
     arrangement of the r values left.  gap[t] = v_t - 1 - t counts the
     values left below v_t, so:
 
@@ -91,7 +92,7 @@ def _sweep(n, pairs, shift):
     permutation is exactly one (pattern, value set, arrangement) triple,
     and every bit comes from a direct comparison.
     """
-    r = min(_SUFFIX, n)
+    r = min(range(min(2, n), min(6, n) + 1), key=lambda r: _cost(n, r, pairs))
     k = n - r
     head, cross, tail = [], [], []
     for b, (i, j) in enumerate(pairs):
@@ -115,20 +116,18 @@ def _sweep(n, pairs, shift):
         group = patterns.setdefault(tuple([pattern[p] for p in boundary]), {})
         group[key] = group.get(key, 0) + 1
 
-    placed = {values: {} for values in patterns}  # -> {(ranks, crossings): value sets}
-    for subset in itertools.combinations(range(1, n + 1), k):
-        gap = [v - 1 - t for t, v in enumerate(subset)]
-        crossings = sum(gap) if shift else 0
-        for values, seen in placed.items():
-            key = (tuple([gap[v] for v in values]), crossings)
-            seen[key] = seen.get(key, 0) + 1
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    # gaps[t][s] is gap[t] of value set s, and crossings[s] its sum(gap)
+    gaps = [[v - 1 - t for v in column] for t, column in enumerate(zip(*subsets))]
+    crossings = [sum(s) - k * (k + 1) // 2 if shift else 0 for s in subsets]
     prefixes = {}  # boundary ranks -> {prefix key: prefixes}
-    for values, seen in placed.items():
-        group = patterns[values]
-        for (ranks, crossings), w in seen.items():
-            into = prefixes.setdefault(ranks, {})
+    for values, group in patterns.items():
+        # (boundary ranks ..., sum(gap)) -> value sets giving them
+        seen = collections.Counter(zip(*[gaps[v] for v in values], crossings))
+        for ranks, w in seen.items():
+            into = prefixes.setdefault(ranks[:-1], {})
             for key, c in group.items():
-                key += crossings
+                key += ranks[-1]
                 into[key] = into.get(key, 0) + w * c
 
     arrangements = []
@@ -146,11 +145,26 @@ def _sweep(n, pairs, shift):
                 if ranks[s] > word[j]:
                     key |= bit
             table[key] = table.get(key, 0) + 1
-        for prefix_key, c in heads.items():
-            for suffix_key, d in table.items():
+        for suffix_key, d in table.items():
+            for prefix_key, c in heads.items():
                 key = prefix_key + suffix_key
                 counts[key] = counts.get(key, 0) + c * d
     return counts
+
+
+def _cost(n, r, pairs):
+    """The work _sweep predicts for a suffix of r entries: k! patterns,
+    C(n, k) value sets against perm(k, b) tuples of boundary values, and
+    r! arrangements against up to (r+1)^b rank tuples, b the number of
+    boundary positions, each weighed by one more than the comparisons of
+    its body.  So a split with few boundary positions is cheap."""
+    k = n - r
+    head = sum(1 for _, j in pairs if j <= k)
+    cross = [i for i, j in pairs if i <= k < j]
+    b = len(set(cross))  # the boundary positions
+    return (math.factorial(k) * (1 + head)
+            + math.comb(n, k) * math.perm(k, b) * (1 + b)
+            + (r + 1) ** b * math.factorial(r) * (1 + len(cross)))
 
 
 def _inversions(word):

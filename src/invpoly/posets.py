@@ -259,34 +259,35 @@ def d_S_of(h: HSequence, S: PairSet) -> int:
 
     Computed both by poset reachability (the down-set of h(m), walked
     over position_order's masks) and by the chain characterization
-    (increasing chains to h(m) through complement pairs); the two routes
-    must agree.
+    (increasing chains to h(m) through complement pairs, walked over a
+    mask of each position's complement predecessors, gathered once from
+    the window and S); the two routes must agree.
     """
     hm = h.h(S.m())
-    order = position_order(h, S, hm)
-    down, frontier = 0, order[hm - 1]
+    by_poset = _down_set(position_order(h, S, hm), hm).bit_count() + 1
+    preds = [0] * hm
+    for i, j in possible_pairs(h, hm):
+        preds[j - 1] |= 1 << (i - 1)
+    for i, j in S:  # no pair of S starts after m, so S lies in the window
+        preds[j - 1] &= ~(1 << (i - 1))
+    by_chains = _down_set(preds, hm).bit_count() + 1
+    if by_chains != by_poset:
+        raise RouteDisagreementError(
+            f"d_S routes disagree: poset {by_poset} vs chains {by_chains}"
+        )
+    return by_poset
+
+
+def _down_set(masks, v: int) -> int:
+    """The mask of the elements reached from v by following masks, bit
+    a-1 of masks[b-1] leading from b to a; v itself only on a cycle."""
+    down, frontier = 0, masks[v - 1]
     while frontier:
         down |= frontier
         reached = 0
-        for a in _elements(frontier):
-            reached |= order[a - 1]
+        while frontier:
+            low = frontier & -frontier
+            reached |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = reached & ~down
-    by_poset = down.bit_count() + 1
-
-    # chain route: walk backwards from h(m) along complement pairs only
-    window = possible_pairs(h, hm)
-    s_pairs = set(S)
-    comp = [(i, j) for i, j in window if (i, j) not in s_pairs]
-    below = {hm}
-    frontier = [hm]
-    while frontier:
-        j = frontier.pop()
-        for i, jj in comp:
-            if jj == j and i not in below:
-                below.add(i)
-                frontier.append(i)
-    if len(below) != by_poset:
-        raise RouteDisagreementError(
-            f"d_S routes disagree: poset {by_poset} vs chains {len(below)}"
-        )
-    return by_poset
+    return down

@@ -1,4 +1,6 @@
-from invpoly import HSequence, Permutation, inv_h
+import pytest
+
+from invpoly import HSequence, Permutation, inv_h, kernels
 
 # The sweep corpus: the h family exercised by every cross-checking suite.
 CORPUS_H = [
@@ -31,3 +33,34 @@ def draw(h, hm, rng):
         if head[-1] > rest[0]:
             word = tuple(head + rest)
             return word, m, inv_h(h, Permutation(word))
+
+
+def random_h(rng):
+    """A valid h-sequence: prefix values at most 9, tail offset 1..4."""
+    t, L = rng.randint(1, 4), rng.randint(0, 5)
+    prefix = []
+    for i in range(1, L + 1):
+        lo = max(prefix[-1] if prefix else 0, i + 1)
+        prefix.append(rng.randint(lo, min(9, L + 1 + t)))
+    return HSequence(tuple(prefix), t)
+
+
+def splits(n):
+    """The suffix lengths the grouping sweep chooses among at n."""
+    return range(min(2, n), min(6, n) + 1)
+
+
+@pytest.fixture
+def force_split(monkeypatch):
+    """force_split(r) makes r the cheapest split for every later sweep,
+    and returns the list of the suffix lengths the sweeps then priced."""
+    def force(r):
+        priced = []
+
+        def cost(n, s, pairs):
+            priced.append(s)
+            return 0 if s == r else 1
+
+        monkeypatch.setattr(kernels, "_cost", cost)
+        return priced
+    return force

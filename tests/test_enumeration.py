@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -20,12 +22,12 @@ from invpoly import (
     is_constant,
     poincare,
 )
-from invpoly import enumeration, kernels
+from invpoly import enumeration, kernels, posets
 from invpoly.enumeration import enumerate_Ih_structured
 from invpoly.errors import BoundExceededError, InputError
 from invpoly.polynomials import QPoly
 
-from conftest import CORPUS_H, h_id
+from conftest import CORPUS_H, h_id, random_h
 from oracles import A_star_sets, length_split_check, t_of, words
 
 H2 = HSequence((), 2)
@@ -211,6 +213,43 @@ def test_fiber_data_equals_t_of_per_word(h):
         data = fiber_data(h, S)
         assert data == {sigma: t_of(sigma, h, S) for sigma in data}, S
         assert len(data) == len(enumerate_Ih(h, S, S.j())), S
+
+
+@pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
+def test_fiber_counts_are_the_heights_of_the_top_of_T(h):
+    # T = {k <= j : h(k) > j} is a clique of window pairs, so a chain of
+    # position_order(h, S, j), and its top carries t(sigma): the fiber
+    # counts are that element's height sequence, shifted by one
+    for S in (S for S in enumerate_admissible(h, 7) if S):
+        j = S.j()
+        order = posets.position_order(h, S, j)
+        T = [k for k in range(1, j + 1) if h.h(k) > j]
+        tops = [v for v in T if all(posets._down_set(order, v) >> (k - 1) & 1
+                                    for k in T if k != v)]
+        assert len(tops) == 1, S
+        heights = posets._heights(order, tops[0])
+        shifted = {k + 1: c for k, c in enumerate(heights) if c}
+        assert Counter(fiber_data(h, S).values()) == shifted, S
+
+
+# seeds 0..19 of random.Random, one h each; n up to 8 reaches splits that
+# the corpus windows do not
+@pytest.mark.parametrize("seed", range(20))
+def test_orientation_theorems_on_random_h(seed):
+    # the admissible sets are the acyclic orientations of the window graph,
+    # and position i of it adds c_i + 1 of them: prod (c_i + 1) classes,
+    # with rank generating function prod [c_i + 1]_t in t^|S|
+    h = random_h(random.Random(seed))
+    for n in range(1, 9):
+        count, rank = 1, [1]
+        for i in range(1, n + 1):
+            c = min(h.h(i), n) - i
+            count *= c + 1
+            rank = [sum(rank[e - d] for d in range(c + 1) if 0 <= e - d < len(rank))
+                    for e in range(len(rank) + c)]
+        classes = enumerate_admissible(h, n)
+        assert len(classes) == count, (h, n)
+        assert Counter(len(S) for S in classes) == dict(enumerate(rank)), (h, n)
 
 
 @pytest.mark.parametrize("h, same_window, calls", [

@@ -12,7 +12,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from conftest import CORPUS_H, h_id
+from conftest import CORPUS_H, h_id, splits
 from oracles import complete, graded_grouping
 from invpoly import (
     HSequence,
@@ -39,10 +39,18 @@ def mahonian(n):
 
 
 @pytest.mark.parametrize("n", range(8))
-def test_graded_counts_fixed_pair_lists(n):
-    # n < 4: the whole word is the suffix; no pairs; every pair
-    for pairs in ([], complete(n), complete(n)[::2]):
-        assert kernels.graded_admissible_counts(n, pairs) == graded_grouping(n, pairs)
+def test_graded_counts_fixed_pair_lists(n, force_split):
+    # no pairs; every pair; every other pair; one pair across the word;
+    # the corpus windows; each at every split the sweep may choose
+    lists = [[], complete(n), complete(n)[::2], [(1, n)] if n > 1 else []]
+    lists += [possible_pairs(h, n).pairs for h in CORPUS_H] if n else []
+    for pairs in lists:
+        want = graded_grouping(n, pairs)
+        assert kernels.graded_admissible_counts(n, pairs) == want
+        for r in splits(n):
+            priced = force_split(r)
+            assert kernels.graded_admissible_counts(n, pairs) == want, (pairs, r)
+            assert sorted(set(priced)) == list(splits(n))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -87,7 +95,10 @@ def bit_by_bit(mask, window):
     return tuple(p for b, p in enumerate(window) if mask >> b & 1)
 
 
-@pytest.mark.parametrize("size", [0, 1, 8, 9, 16, 17, 70])
+# sizes 0 .. 2, one pair per chunk or fewer, and 45, the widest window of a
+# sweep at the default cap (S_10 with every pair), whose tables hold 2^15
+# entries each
+@pytest.mark.parametrize("size", [0, 1, 2, 8, 9, 16, 17, 45])
 def test_decoder_equals_bit_by_bit(size):
     window = tuple(complete(13)[:size])  # sorted and unique
     decode = enumeration._decoder(window)

@@ -14,7 +14,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from conftest import CORPUS_H, H_IDS, HS, draw, h_id
+from conftest import CORPUS_H, H_IDS, HS, draw, h_id, random_h
 from oracles import grouping, random_poset
 from invpoly import HSequence, enumerate_admissible, kernels, poincare, possible_pairs
 from invpoly.cli import main
@@ -29,16 +29,6 @@ def by_size(classes):
     for S, c in classes.items():
         cs[2 * len(S)] += c
     return cs
-
-
-def random_h(rng):
-    """A valid h-sequence: prefix values at most 9, tail offset 1..4."""
-    t, L = rng.randint(1, 4), rng.randint(0, 5)
-    prefix = []
-    for i in range(1, L + 1):
-        lo = max(prefix[-1] if prefix else 0, i + 1)
-        prefix.append(rng.randint(lo, min(9, L + 1 + t)))
-    return HSequence(tuple(prefix), t)
 
 
 @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS_H, h_id
+from conftest import CORPUS_H, h_id, splits
 from oracles import complete, grouping
 from invpoly import HSequence, poincare, possible_pairs
 from invpoly import kernels
@@ -92,19 +92,31 @@ def test_admissible_counts_windows(h, n):
     assert kernels.admissible_counts(n, pairs) == grouping(n, pairs)
 
 
+def assert_every_split(force_split, n, pairs):
+    """The sweep at each suffix length it may choose equals the plain one."""
+    want = grouping(n, pairs)
+    for r in splits(n):
+        priced = force_split(r)
+        assert kernels.admissible_counts(n, pairs) == want, (n, r)
+        assert sorted(set(priced)) == list(splits(n))
+
+
 @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
-def test_admissible_counts_corpus(h):
+def test_admissible_counts_corpus(h, force_split):
     for n in range(1, 9):
         pairs = possible_pairs(h, n).pairs
         assert kernels.admissible_counts(n, pairs) == grouping(n, pairs), n
+    for n in range(1, 8):
+        assert_every_split(force_split, n, possible_pairs(h, n).pairs)
 
 
 @pytest.mark.parametrize("n", range(6))
-def test_admissible_counts_short_words(n):
-    # n < 4: the whole word is the suffix; n = 4, 5: the prefix is empty
-    # or a single entry
+def test_admissible_counts_short_words(n, force_split):
+    # n < 2: the whole word is the suffix; otherwise every split from a
+    # 2-entry suffix to an empty or one-entry prefix
     for pairs in (complete(n), complete(n)[::2], [(1, n)] if n > 1 else []):
         assert kernels.admissible_counts(n, pairs) == grouping(n, pairs)
+        assert_every_split(force_split, n, pairs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
