@@ -1,14 +1,15 @@
 """Brute-force oracle over S_n and the constructive permutation sets.
 
 Everything here is exact.  Grouping S_n by restricted inversion set
-(enumerate_admissible, and graded_admissible, which also grades each
-class by length) is a full sweep over S_n: the kernel counts every
+(enumerate_admissible) is a full sweep over S_n: the kernel counts every
 permutation once, by direct comparisons, and only shares work among
 permutations whose prefixes have the same pattern or rank alike among
 the leftover values, splitting each word where the pair list predicts
-the least work.  Each class becomes a PairSet decoded from its mask in
-three table lookups, one per third of the window, through tables of
-pair tuples built once per sweep (_decoder).  Listing I_h(S, n) lists,
+the least work.  graded_admissible is the same sweep with each class's
+length polynomial packed into one int, read back once into a QPoly.
+Each class becomes a PairSet decoded from its mask in three table
+lookups, one per third of the window, through tables of pair tuples
+built once per sweep (_decoder).  Listing I_h(S, n) lists,
 with no dead ends and in lexicographic order, the linear extensions of
 the order that S puts on the positions: over all of S_n for the oracle
 entry points, and for the fiber base points and coefficient sets only
@@ -206,19 +207,13 @@ def enumerate_admissible(h: HSequence, n: int) -> dict[PairSet, int]:
 
 def graded_admissible(h: HSequence, n: int) -> dict[PairSet, QPoly]:
     """Group S_n by restricted inversion set, each class graded by length:
-    S -> sum of q^length(pi) over I_h(S, n).  at_one() gives the counts of
-    enumerate_admissible."""
+    S -> sum of q^length(pi) over I_h(S, n), from the kernel's slots.
+    at_one() gives the counts of enumerate_admissible."""
     _check_bound(n)
     window = possible_pairs(h, n)
     graded = kernels.graded_admissible_counts(n, window)
     decode = _decoder(window)
-    out = {}
-    for mask, lengths in graded.items():
-        cs = [0] * (max(lengths) + 1)
-        for length, c in lengths.items():
-            cs[length] = c
-        out[decode(mask)] = QPoly(tuple(cs))
-    return out
+    return {decode(mask): QPoly(slots) for mask, slots in graded.items()}
 
 
 def poincare(h: HSequence, n: int) -> QPoly:
@@ -236,9 +231,7 @@ def poincare(h: HSequence, n: int) -> QPoly:
     for i, j in possible_pairs(h, n):  # InputError for n < 1
         right[i - 1] |= 1 << (j - 1)
     slots = ideal_pass([(1 << p, 0, r) for p, r in enumerate(right)], n)
-    cs = [0] * (2 * len(slots) - 1)
-    cs[::2] = slots
-    return QPoly(tuple(cs))
+    return QPoly(tuple(c for s in slots for c in (s, 0)))  # slot s at t^(2s)
 
 
 def graded_Ih_oracle(h: HSequence, S: PairSet, n: int) -> QPoly:

@@ -6,11 +6,12 @@ bitmask over the pair list, held in a Python int so that any number of
 pairs fits, and callers compare sets with integer equality.
 
 Grouping (admissible_counts) is the full sweep over S_n and stays the
-honest oracle; graded_admissible_counts is the same sweep with each
-class split further by length.  Each permutation splits into a prefix
-and a suffix of the last r entries, and the prefix into a pattern
-(the relative order of its entries) and a set of values; r is chosen on
-each call, as the length in 2..6 with the least work that the pair list
+honest oracle; graded_admissible_counts is the same sweep body and the
+same masks, with each class weighed by its length polynomial packed into
+one int instead of by its count.  Each permutation splits into a prefix
+and a suffix of the last r entries, and the prefix into a pattern (the
+relative order of its entries) and a set of values; r is chosen on each
+call, as the length in 2..6 with the least work that the pair list
 predicts (_cost).  The patterns are walked once, the value sets once,
 and the suffix arrangements are tabulated once for each pattern of ranks
 that the prefix entries take among the values left for the suffix.
@@ -36,34 +37,29 @@ import functools
 import itertools
 import math
 
+from invpoly.polynomials import slot_width, unpack_slots
+
 
 def admissible_counts(n, pairs):
-    """Map inversion-bitmask -> number of permutations of [n] attaining it.
-
-    The full sweep of S_n (_sweep), with no lengths.  The counts sum to n!.
-    """
+    """Map inversion-bitmask -> number of permutations of [n] attaining it:
+    the full sweep of S_n (_sweep) at width 0.  The counts sum to n!."""
     return _sweep(n, pairs, 0)
 
 
 def graded_admissible_counts(n, pairs):
-    """Map inversion-bitmask -> {length: number of permutations of [n]
-    with that mask and that many inversions}.
-
-    The same sweep as admissible_counts, with each key carrying the
-    length in its low bits; the counts sum to n!.
-    """
-    shift = (n * (n - 1) // 2).bit_length()  # room for any length
-    low = (1 << shift) - 1
-    graded = {}
-    for key, c in _sweep(n, pairs, shift).items():
-        graded.setdefault(key >> shift, {})[key & low] = c
-    return graded
+    """Map inversion-bitmask -> (c_0, c_1, ...), c_l the number of
+    permutations of [n] with that mask and l inversions, up to the longest:
+    the sweep of admissible_counts at slot_width(n), each weight read back
+    once.  The counts sum to n!."""
+    width = slot_width(n)
+    return {mask: unpack_slots(weight, width)
+            for mask, weight in _sweep(n, pairs, width).items()}
 
 
-def _sweep(n, pairs, shift):
-    """Count the permutations of [n] by key = mask << shift | length.
-
-    With shift 0 no length is kept and the key is the mask alone.
+def _sweep(n, pairs, width):
+    """Map inversion-bitmask -> sum of 2^(width * length) over the
+    permutations of [n] with it: the class's length polynomial read at
+    q = 2^width, which at width 0 is a plain count.
 
     Each permutation splits at position k = n - r into a prefix and a
     suffix, where r is the length in 2..min(6, n) whose predicted work
@@ -82,73 +78,70 @@ def _sweep(n, pairs, shift):
     - the length is inv(pattern) + sum(gap) + inv(arrangement): every
       prefix entry exceeds gap[t] suffix entries, all to its right.
 
-    So the k! patterns are classified once by (head key, pattern values
-    at the boundary positions), and the C(n, k) value sets once by the
-    boundary ranks and sum(gap) they give each such tuple of values.
-    The r! arrangement keys are built once per rank tuple seen, and each
-    (prefix class, arrangement key) pair adds the product of their
-    counts.  Head, cross and tail pairs have disjoint bits and lengths
-    stay below 1 << shift, so adding two keys combines them.  Every
-    permutation is exactly one (pattern, value set, arrangement) triple,
-    and every bit comes from a direct comparison.
+    So the k! patterns, each of weight q^inv(pattern), are classified once
+    by (head mask, pattern values at the boundary positions), and the
+    C(n, k) value sets, each multiplying a weight by q^sum(gap), once by
+    the boundary ranks they give each such tuple of values.  The r!
+    arrangement masks, each of weight q^inv(arrangement), are built once
+    per rank tuple seen, and each (prefix class, arrangement mask) pair
+    adds the product of their weights: one int multiply.  Head, cross and
+    tail pairs have disjoint bits, so OR-ing two masks combines them.
     """
     r = min(range(min(2, n), min(6, n) + 1), key=lambda r: _cost(n, r, pairs))
     k = n - r
     head, cross, tail = [], [], []
     for b, (i, j) in enumerate(pairs):
-        bit = 1 << b << shift
         if j <= k:
-            head.append((i - 1, j - 1, bit))
+            head.append((i - 1, j - 1, 1 << b))
         elif i <= k:
-            cross.append((i - 1, j - 1 - k, bit))
+            cross.append((i - 1, j - 1 - k, 1 << b))
         else:
-            tail.append((i - 1 - k, j - 1 - k, bit))
+            tail.append((i - 1 - k, j - 1 - k, 1 << b))
     boundary = sorted({i for i, _, _ in cross})
     slot = {p: s for s, p in enumerate(boundary)}
     cross = [(slot[i], j, bit) for i, j, bit in cross]
 
-    patterns = {}  # boundary values -> {head key: patterns}
-    for pattern in itertools.permutations(range(k)):
-        key = _inversions(pattern) if shift else 0
+    patterns = {}  # boundary values -> {head mask: weight}
+    for pattern, weight in _weighed(k, width):
+        mask = 0
         for a, b, bit in head:
             if pattern[a] > pattern[b]:
-                key |= bit
+                mask |= bit
         group = patterns.setdefault(tuple([pattern[p] for p in boundary]), {})
-        group[key] = group.get(key, 0) + 1
+        group[mask] = group.get(mask, 0) + weight
 
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    # gaps[t][s] is gap[t] of value set s, and crossings[s] its sum(gap)
+    # gaps[t][s] is gap[t] of value set s, and crossings[s] its width * sum(gap)
     gaps = [[v - 1 - t for v in column] for t, column in enumerate(zip(*subsets))]
-    crossings = [sum(s) - k * (k + 1) // 2 if shift else 0 for s in subsets]
-    prefixes = {}  # boundary ranks -> {prefix key: prefixes}
+    crossings = [width * (sum(s) - k * (k + 1) // 2) for s in subsets]
+    prefixes = {}  # boundary ranks -> {prefix mask: weight}
     for values, group in patterns.items():
-        # (boundary ranks ..., sum(gap)) -> value sets giving them
+        # (boundary ranks ..., width * sum(gap)) -> value sets giving them
         seen = collections.Counter(zip(*[gaps[v] for v in values], crossings))
         for ranks, w in seen.items():
             into = prefixes.setdefault(ranks[:-1], {})
-            for key, c in group.items():
-                key += ranks[-1]
-                into[key] = into.get(key, 0) + w * c
+            for mask, c in group.items():
+                into[mask] = into.get(mask, 0) + (w * c << ranks[-1])
 
     arrangements = []
-    for word in itertools.permutations(range(r)):
-        key = _inversions(word) if shift else 0
+    for word, weight in _weighed(r, width):
+        mask = 0
         for a, b, bit in tail:
             if word[a] > word[b]:
-                key |= bit
-        arrangements.append((word, key))
+                mask |= bit
+        arrangements.append((word, mask, weight))
     counts = {}
     for ranks, heads in prefixes.items():
-        table = {}  # suffix key -> arrangements
-        for word, key in arrangements:
+        table = {}  # suffix mask -> weight
+        for word, mask, weight in arrangements:
             for s, j, bit in cross:
                 if ranks[s] > word[j]:
-                    key |= bit
-            table[key] = table.get(key, 0) + 1
-        for suffix_key, d in table.items():
-            for prefix_key, c in heads.items():
-                key = prefix_key + suffix_key
-                counts[key] = counts.get(key, 0) + c * d
+                    mask |= bit
+            table[mask] = table.get(mask, 0) + weight
+        for suffix_mask, d in table.items():
+            for prefix_mask, c in heads.items():
+                mask = prefix_mask | suffix_mask
+                counts[mask] = counts.get(mask, 0) + c * d
     return counts
 
 
@@ -167,9 +160,12 @@ def _cost(n, r, pairs):
             + (r + 1) ** b * math.factorial(r) * (1 + len(cross)))
 
 
-def _inversions(word):
-    return sum(1 for a in range(len(word)) for b in range(a + 1, len(word))
-               if word[a] > word[b])
+def _weighed(k, width):
+    """Each permutation of range(k), in lexicographic order, with weight
+    2^(width * inv): inv is the sum of its Lehmer code, and the codes run
+    through range(k) x range(k-1) x ... x range(1) in the same order."""
+    codes = itertools.product(*map(range, range(k, 0, -1)))
+    return zip(itertools.permutations(range(k)), [1 << width * sum(c) for c in codes])
 
 
 def matching_perms(n, pairs, target):

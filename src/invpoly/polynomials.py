@@ -4,10 +4,10 @@ Binomial coefficients use the polynomial convention
 binom(x, d) = x(x-1)...(x-d+1)/d!, defined for every integer x, so that
 expressions like binom(n-s, d) evaluate correctly below their support.
 Everything here is arbitrary-precision integer arithmetic on coefficient
-tuples; Fraction appears only in MonomialPoly.  No floats.  The strong
-q-log-concavity test packs each polynomial into one int, f(2^w), with
-slots wide enough that every coefficient of a compared difference keeps
-to its own slot, so a whole product is one int multiply.
+tuples; Fraction appears only in MonomialPoly.  No floats.  A packed
+q-polynomial is one int, f(2^w), each coefficient in its own w-bit slot
+(slot_width and unpack_slots, shared by the ideal pass and the grouping
+sweep); so the strong q-log-concavity test makes a product one multiply.
 """
 
 from __future__ import annotations
@@ -263,6 +263,21 @@ def q_binom(n: int, k: int) -> QPoly:
         if np <= k:
             row.append((1,))
     return QPoly(row[k])
+
+
+def slot_width(n: int) -> int:
+    """Bits per slot of a packed q-polynomial f(2^width) whose nonnegative
+    coefficients sum to at most n!, so that no slot carries into the next."""
+    return math.factorial(n).bit_length() + 1
+
+
+def unpack_slots(weight: int, width: int) -> tuple[int, ...]:
+    """The slots of a packed weight with nonnegative slots, lowest first."""
+    slots, full = [], (1 << width) - 1
+    while weight:
+        slots.append(weight & full)
+        weight >>= width
+    return tuple(slots)
 
 
 def is_log_concave(values: Sequence[int]) -> bool:

@@ -25,7 +25,6 @@ linear_extensions is kept for listing the extensions themselves.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from invpoly.errors import InputError, RouteDisagreementError
@@ -36,7 +35,7 @@ from invpoly.model import (
     possible_pairs,
     require_admissible,
 )
-from invpoly.polynomials import CoeffSeq
+from invpoly.polynomials import CoeffSeq, slot_width, unpack_slots
 
 
 def _elements(mask: int) -> list[int]:
@@ -196,20 +195,16 @@ def ideal_step(layer: dict[int, int], steps, width: int = 0) -> dict[int, int]:
     return nxt
 
 
-def ideal_pass(steps, n: int) -> list[int]:
+def ideal_pass(steps, n: int) -> tuple[int, ...]:
     """The slots of the one weight left once all n elements have joined,
     lowest first.  They are nonnegative and sum to at most n!, so
-    n!.bit_length() + 1 bits per slot keep them apart."""
-    width = math.factorial(n).bit_length() + 1
+    slot_width(n) bits per slot keep them apart."""
+    width = slot_width(n)
     layer = {0: 1}
     for _ in range(n):
         layer = ideal_step(layer, steps, width)
     (weight,) = layer.values()
-    slots, full = [], (1 << width) - 1
-    while weight:
-        slots.append(weight & full)
-        weight >>= width
-    return slots
+    return unpack_slots(weight, width)
 
 
 def height_sequence(P: Poset, v: int) -> list[int]:
@@ -232,7 +227,7 @@ def _heights(below, v: int) -> list[int]:
     n = len(below)
     heights = ideal_pass([(1 << w | low, low, (1 << n) - 1 if w == v - 1 else 0)
                           for w, low in enumerate(below)], n)
-    return heights + [0] * (n - len(heights))
+    return list(heights) + [0] * (n - len(heights))
 
 
 def height_support_bounds(P: Poset, v: int) -> tuple[int, int]:

@@ -2,8 +2,9 @@
 
 kernels.graded_admissible_counts is compared with the plain S_n sweep
 oracles.graded_grouping, and enumeration.graded_admissible with the listing
-oracle graded_Ih_oracle.  The decoder is compared with the bit-by-bit
-rule it replaced.
+oracle graded_Ih_oracle.  Past the oracle's reach, both sweeps are held to
+mirror duality.  The decoder is compared with the bit-by-bit rule it
+replaced.
 """
 
 import math
@@ -12,7 +13,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from conftest import CORPUS_H, h_id, splits
+from conftest import CORPUS_H, h_id, random_h, splits
 from oracles import complete, graded_grouping
 from invpoly import (
     HSequence,
@@ -27,6 +28,8 @@ from invpoly.cli import main, run_invariant_suite
 from invpoly.errors import BoundExceededError
 
 H3 = HSequence((), 3)
+# the corpus and two h outside it
+EIGHT_H = CORPUS_H + [HSequence((3, 3, 5), 2), HSequence((2, 5, 5, 6, 6), 1)]
 
 
 def mahonian(n):
@@ -38,6 +41,11 @@ def mahonian(n):
     return row
 
 
+def as_slots(graded):
+    """The oracle's {length: count} classes as coefficient tuples, lowest length first."""
+    return {m: tuple(ls.get(l, 0) for l in range(max(ls) + 1)) for m, ls in graded.items()}
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_graded_counts_fixed_pair_lists(n, force_split):
     # no pairs; every pair; every other pair; one pair across the word;
@@ -45,7 +53,7 @@ def test_graded_counts_fixed_pair_lists(n, force_split):
     lists = [[], complete(n), complete(n)[::2], [(1, n)] if n > 1 else []]
     lists += [possible_pairs(h, n).pairs for h in CORPUS_H] if n else []
     for pairs in lists:
-        want = graded_grouping(n, pairs)
+        want = as_slots(graded_grouping(n, pairs))
         assert kernels.graded_admissible_counts(n, pairs) == want
         for r in splits(n):
             priced = force_split(r)
@@ -58,7 +66,7 @@ def test_graded_counts_random_pairs(seed):
     rng = random.Random(seed)
     n = rng.randint(0, 7)
     pairs = rng.sample(complete(n), rng.randint(0, len(complete(n))))
-    assert kernels.graded_admissible_counts(n, pairs) == graded_grouping(n, pairs)
+    assert kernels.graded_admissible_counts(n, pairs) == as_slots(graded_grouping(n, pairs))
 
 
 @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
@@ -75,13 +83,51 @@ def test_graded_admissible_equals_listing_oracle(h):
 def test_graded_counts_sum_to_grouping_counts(h, n):
     pairs = possible_pairs(h, n).pairs
     graded = kernels.graded_admissible_counts(n, pairs)
-    assert {mask: sum(lengths.values()) for mask, lengths in graded.items()} == \
+    assert {mask: sum(slots) for mask, slots in graded.items()} == \
         kernels.admissible_counts(n, pairs)
     total = [0] * (n * (n - 1) // 2 + 1)
-    for lengths in graded.values():
-        for length, c in lengths.items():
+    for slots in graded.values():
+        for length, c in enumerate(slots):
             total[length] += c
     assert total == mahonian(n)
+
+
+def assert_mirror_dual(n, pairs):
+    """Reverse-complement, w -> w0 w w0, sends the pair (i, j) to
+    (n+1-j, n+1-i) and keeps length; so each sweep of pairs, with every
+    mask relabelled through it, is the same sweep of the mirror list."""
+    image = [(n + 1 - j, n + 1 - i) for i, j in pairs]
+    mirror = sorted(image)
+    to = [1 << mirror.index(p) for p in image]
+    for sweep in (kernels.admissible_counts, kernels.graded_admissible_counts):
+        relabelled = {sum(bit for b, bit in enumerate(to) if mask >> b & 1): weight
+                      for mask, weight in sweep(n, pairs).items()}
+        assert relabelled == sweep(n, mirror), (sweep.__name__, n, pairs)
+
+
+# seeds 0..19 of random.Random, one h each, as in test_enumeration's
+# orientation test
+@pytest.mark.parametrize("seed", range(20))
+def test_mirror_duality_on_random_h_at_every_split(seed, force_split):
+    h = random_h(random.Random(seed))
+    for n in range(1, 8):
+        for r in splits(n):
+            force_split(r)
+            assert_mirror_dual(n, possible_pairs(h, n).pairs)
+
+
+# past the oracle's reach: n = 9 and 10, at the split each sweep chooses
+@pytest.mark.parametrize("h", EIGHT_H, ids=h_id)
+def test_mirror_duality_past_the_oracle(h):
+    for n in (9, 10):
+        assert_mirror_dual(n, possible_pairs(h, n).pairs)
+
+
+# the same seeds: every admissible set with j <= 6 of each h through the
+# three expansions, a_from_b, b_from_heights, b_q_dp and the graded classes
+@pytest.mark.parametrize("seed", range(20))
+def test_invariant_suite_on_random_h(seed):
+    assert run_invariant_suite(random_h(random.Random(seed)), 6) == []
 
 
 def test_graded_admissible_bound(monkeypatch):
