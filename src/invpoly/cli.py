@@ -296,13 +296,14 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
     """Cross-checks over every nonempty admissible set with j(S) <= cap.
 
     Each S_n, n <= cap, is swept once, grading every class by length
-    (enumeration.graded_admissible); nothing is listed.  When h(m) <= cap,
-    the graded coefficients come from graded.b_q_dp, and are checked
-    against those graded classes for n = h(m) .. cap and for strong
-    q-log-concavity.  Always: triple expansion agreement against the
-    class counts for n = j(S) .. cap, coefficient conversion, the poset
-    bridge, log-concavity, and degree against constancy.  Each sweep's
-    classes are also held to the two theorems of _orientation_checks.
+    (enumeration.graded_admissible); every route is an ideal pass, and
+    nothing is listed.  When h(m) <= cap, graded.b_q_dp's coefficients are
+    checked against those classes for n = h(m) .. cap, for strong
+    q-log-concavity, and at q = 1 against the b route.  Always: triple
+    expansion agreement against the class counts for n = j(S) .. cap,
+    coefficient conversion, log-concavity, and degree against constancy.
+    Each sweep's classes are also held to the two theorems of
+    _orientation_checks.
     """
     failures, violations = [], []
     graded = {cap: enumeration.graded_admissible(hseq, cap)}  # the bound first
@@ -312,8 +313,8 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
     zero = polynomials.QPoly.zero()
     for S in sorted(S for S in graded[cap] if S):
         hm = hseq.h(S.m())
-        if hm <= cap:
-            ge = graded_mod.b_q_dp(hseq, S)
+        ge = graded_mod.b_q_dp(hseq, S) if hm <= cap else None
+        if ge is not None:
             for n in range(hm, cap + 1):
                 if graded_mod.graded_expansion_eval(ge, n) != graded[n].get(S, zero):
                     failures.append(f"{S}: graded expansion mismatch at n={n}")
@@ -334,8 +335,8 @@ def run_invariant_suite(hseq: model.HSequence, cap: int) -> list[str]:
         conv = expansions.a_from_b(b.coeffs, S.m(), hm)
         if conv != a.coeffs:
             failures.append(f"{S}: coefficient conversion mismatch")
-        if posets.b_from_heights(hseq, S) != b.coeffs:
-            failures.append(f"{S}: poset-height route disagrees with b")
+        if ge is not None and tuple(c.at_one() for c in ge.b_q) != b.coeffs.values:
+            failures.append(f"{S}: b_q_dp at q = 1 disagrees with b")
         for seq in (b.coeffs.values, a.coeffs.values):
             if not (polynomials.is_log_concave(seq)
                     and polynomials.has_no_internal_zeros(seq)):

@@ -22,16 +22,15 @@ a pair -> bit index of the window, cached per window.  Listings return
 word tuples; only the entry point enumerate_Ih makes them Permutations.
 The kernels are in invpoly.kernels.
 
-fiber_data maps each base point of I_h(S, j(S)) to its t-value, in the
-lister's order, and b_counts reads the window h(m); when j(S) = h(m)
-they read one listing, kept for the second call by a one-entry cache
-(_listing).  a_counts lists nothing: it counts the a-window m+h(m)-1
-over the order ideals of that same order (posets.ideal_step), and never
-calls a kernel.  It reads the order from posets.position_order on all
-m+h(m)-1 positions; an inadmissible set, which has no order, counts
-zero.  The listing of the A*_k sets that checks it lives with the tests.
-poincare sweeps nothing either: one packed pass of the same step over
-the 2^n sets of positions, with no order, counts S_n by h-inversions.
+No count route lists: each is a pass of posets.ideal_step over
+posets.position_order.  a_counts counts the a-window m+h(m)-1 over the
+ideals of the order on all its positions; an inadmissible set, which has
+no order, counts zero.  fiber_data (each base point of I_h(S, j(S)) with
+its t-value) and b_counts (the window h(m)) list, for callers that want
+the words and as the tests' oracles of posets.fiber_from_heights and
+posets.b_from_heights.  poincare sweeps nothing either: one packed pass
+of the same step over the 2^n sets of positions counts S_n by
+h-inversions.
 """
 
 from __future__ import annotations
@@ -117,17 +116,10 @@ def enumerate_Ih_structured(
     return kernels.matching_perms_sorted_suffix(n, S.m(), possible_pairs(h, n), mask, at)
 
 
-@lru_cache(maxsize=1)
-def _listing(h: HSequence, S: PairSet, n: int) -> tuple[tuple[int, ...], ...]:
-    """enumerate_Ih_structured(h, S, n), kept until the next key: when
-    j(S) = h(m), fiber_data and b_counts of one set read one listing."""
-    return tuple(enumerate_Ih_structured(h, S, n))
-
-
 def fiber_data(h: HSequence, S: PairSet) -> dict[tuple[int, ...], int]:
     """Each base point of I_h(S, j(S)), S nonempty and admissible, mapped
     to its t-value, in the lister's (lexicographic) order.  Listed with no
-    brute-force cap.
+    brute-force cap: the oracle of posets.fiber_from_heights.
 
     The t-value is the largest entry at the positions k <= j(S) with
     h(k) >= j(S)+1.  h is weakly increasing, so those positions are an
@@ -135,7 +127,7 @@ def fiber_data(h: HSequence, S: PairSet) -> dict[tuple[int, ...], int]:
     """
     j = S.j()
     lo = next(k for k in range(j) if h.h(k + 1) > j)  # k = j - 1 qualifies
-    return {sigma: max(sigma[lo:j]) for sigma in _listing(h, S, j)}
+    return {sigma: max(sigma[lo:j]) for sigma in enumerate_Ih_structured(h, S, j)}
 
 
 def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[tuple[int, ...]]:
@@ -149,11 +141,11 @@ def B_k_set(h: HSequence, S: PairSet, n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def b_counts(h: HSequence, S: PairSet) -> tuple[int, ...]:
-    """Sizes of B_k(S, h(m)) for k = h(m)-m .. h(m), in one sweep."""
+    """Sizes of B_k(S, h(m)), k = h(m)-m .. h(m), listed: b_from_heights' oracle."""
     m = S.m()
     hm = h.h(m)
     counts = [0] * (m + 1)
-    for w in _listing(h, S, hm):
+    for w in enumerate_Ih_structured(h, S, hm):
         counts[w[hm - 1] - (hm - m)] += 1  # w rises after m: hm-m <= k <= hm
     return tuple(counts)
 

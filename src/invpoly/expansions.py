@@ -7,17 +7,18 @@ result carries the smallest n at which its formula is guaranteed to
 count; evaluating as a count below that floor raises, while the
 polynomial itself, res.poly(n), evaluates at any integer n.
 
-degree_of and is_constant each check a poset criterion against a
-direct one; the poset side reads posets.position_order's generating
-masks, and no Poset is built.
+Every route is an order-ideal pass over posets.position_order's masks
+and lists no word: the fiber and b counts are height sequences
+(posets.fiber_from_heights, b_from_heights), the a counts
+enumeration.a_counts.  degree_of and is_constant each check a poset
+criterion against a direct one, on the same masks; no Poset is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from invpoly.enumeration import a_counts, b_counts, fiber_data
+from invpoly.enumeration import a_counts
 from invpoly.errors import (
     BelowValidityFloorError,
     InputError,
@@ -25,7 +26,7 @@ from invpoly.errors import (
 )
 from invpoly.model import HSequence, PairSet, require_admissible
 from invpoly.polynomials import BinomialPoly, CoeffSeq, binom
-from invpoly.posets import d_S_of, position_order
+from invpoly.posets import b_from_heights, d_S_of, fiber_from_heights, position_order
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,9 @@ def fiber_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
     gathered as c * binom(n - t, j - t) over the c base points at each t."""
     if not S:
         return _empty_result("fiber")
-    require_admissible(h, S)
     j = S.j()
-    t_counts = Counter(fiber_data(h, S).values())
-    terms = tuple((c, t, j - t) for t, c in t_counts.items())
-    lo = min(t_counts)
-    coeffs = CoeffSeq(
-        tuple(t_counts.get(t, 0) for t in range(lo, max(t_counts) + 1)), lo
-    )
+    coeffs = fiber_from_heights(h, S)
+    terms = tuple((coeffs[t], t, j - t) for t in coeffs.indices() if coeffs[t])
     return ExpansionResult("fiber", BinomialPoly(terms), coeffs, j)
 
 
@@ -79,13 +75,9 @@ def b_expansion(h: HSequence, S: PairSet) -> ExpansionResult:
     """b_k = #B_k(S, h(m)) for k = h(m)-m .. h(m)."""
     if not S:
         return _empty_result("b")
-    require_admissible(h, S)
-    m = S.m()
-    hm = h.h(m)
-    coeffs = CoeffSeq(b_counts(h, S), hm - m)
-    terms = tuple(
-        (coeffs[k], k, hm - k) for k in coeffs.indices() if coeffs[k]
-    )
+    hm = h.h(S.m())
+    coeffs = b_from_heights(h, S)
+    terms = tuple((coeffs[k], k, hm - k) for k in coeffs.indices() if coeffs[k])
     return ExpansionResult("b", BinomialPoly(terms), coeffs, hm)
 
 

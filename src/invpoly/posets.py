@@ -18,7 +18,8 @@ ideal_step is the one step over the lattice of order ideals.  A weight
 is a q-polynomial packed into one int, which a step can multiply by a
 power of q, so one pass (ideal_pass) gives a generating function: the
 height sequence, enumeration.poincare and graded.b_q_dp; a_counts runs
-it on plain counts.  The cost follows the ideals, not the extensions;
+it on plain counts, and fiber_from_heights and b_from_heights read one
+element's heights.  The cost follows the ideals, not the extensions;
 linear_extensions is kept for listing the extensions themselves.
 """
 
@@ -236,17 +237,31 @@ def height_support_bounds(P: Poset, v: int) -> tuple[int, int]:
 
 
 def b_from_heights(h: HSequence, S: PairSet) -> CoeffSeq:
-    """b-coefficients via the height sequence of h(m) in the poset.
-
-    Independent of the direct enumeration route: b_k = h_{k-1}(P, h(m)),
-    reported for k = h(m)-m .. h(m).  The heights come from the
-    order-ideal count of height_sequence, run on position_order's masks;
-    no permutation is swept, no linear extension listed, no Poset built.
-    """
+    """b_k = h_{k-1}(P, h(m)) for k = h(m)-m .. h(m): the heights of h(m)
+    in position_order(h, S, h(m)), the b-expansion's route.  Nothing is
+    listed and no Poset built; enumeration.b_counts is its oracle."""
     m = S.m()
     hm = h.h(m)
     heights = _heights(position_order(h, S, hm), hm)
     return CoeffSeq(tuple(heights[k - 1] for k in range(hm - m, hm + 1)), hm - m)
+
+
+def fiber_from_heights(h: HSequence, S: PairSet) -> CoeffSeq:
+    """Fiber counts from the least t: the heights of the top of
+    T = {k <= j : h(k) > j} in position_order(h, S, j), shifted by one.
+
+    t(sigma) is the largest entry of a base point on T.  Any two positions
+    of T form a window pair, so T is a chain of generating relations, and
+    its top is the one element of T whose mask holds the rest of T.  A
+    height sequence has no internal zeros (its support is an interval).
+    """
+    j = S.j()
+    below = position_order(h, S, j)
+    T = sum(1 << k - 1 for k in range(1, j + 1) if h.h(k) > j)
+    top = next(v for v in _elements(T) if (below[v - 1] | 1 << v - 1) & T == T)
+    heights = _heights(below, top)
+    least = next(k for k, c in enumerate(heights) if c)
+    return CoeffSeq(tuple(c for c in heights if c), least + 1)
 
 
 def d_S_of(h: HSequence, S: PairSet) -> int:

@@ -200,9 +200,17 @@ class TestExitCodes:
         assert res.output.startswith("error: ")
 
     def test_route_disagreement_is_5(self, runner, monkeypatch):
-        # an order with no relations: the poset route to d_S then disagrees
-        # with the chain route
-        monkeypatch.setattr(posets, "position_order", lambda h, S, n: (0,) * n)
+        # only d_S_of sees an order with no relations: its poset route then
+        # disagrees with its chain route, while the b route, which reads the
+        # same orders, keeps the expansions in agreement up to that check
+        d_S_of = posets.d_S_of
+
+        def with_empty_order(h, S):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(posets, "position_order", lambda h, S, n: (0,) * n)
+                return d_S_of(h, S)
+
+        monkeypatch.setattr(expansions, "d_S_of", with_empty_order)
         res = runner.invoke(main, ["verify", "--h", H2, "--cap", "4"])
         assert res.exit_code == 5
         assert res.output.startswith("error: d_S routes disagree")

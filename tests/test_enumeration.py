@@ -217,19 +217,12 @@ def test_fiber_data_equals_t_of_per_word(h):
 
 @pytest.mark.parametrize("h", CORPUS_H, ids=h_id)
 def test_fiber_counts_are_the_heights_of_the_top_of_T(h):
-    # T = {k <= j : h(k) > j} is a clique of window pairs, so a chain of
-    # position_order(h, S, j), and its top carries t(sigma): the fiber
-    # counts are that element's height sequence, shifted by one
+    # posets.fiber_from_heights against the listing oracle fiber_data: the
+    # counts of each t(sigma), from the least t, with no zero between
     for S in (S for S in enumerate_admissible(h, 7) if S):
-        j = S.j()
-        order = posets.position_order(h, S, j)
-        T = [k for k in range(1, j + 1) if h.h(k) > j]
-        tops = [v for v in T if all(posets._down_set(order, v) >> (k - 1) & 1
-                                    for k in T if k != v)]
-        assert len(tops) == 1, S
-        heights = posets._heights(order, tops[0])
-        shifted = {k + 1: c for k, c in enumerate(heights) if c}
-        assert Counter(fiber_data(h, S).values()) == shifted, S
+        counts = posets.fiber_from_heights(h, S)
+        assert dict(zip(counts.indices(), counts.values)) == \
+            Counter(fiber_data(h, S).values()), S
 
 
 # seeds 0..19 of random.Random, one h each; n up to 8 reaches splits that
@@ -252,25 +245,21 @@ def test_orientation_theorems_on_random_h(seed):
         assert Counter(len(S) for S in classes) == dict(enumerate(rank)), (h, n)
 
 
-@pytest.mark.parametrize("h, same_window, calls", [
-    (HSequence((5, 5, 6, 6), 1), True, 1),
-    (H2, False, 2),
-])
-def test_fiber_and_b_share_one_listing_when_j_is_h_m(h, same_window, calls, monkeypatch):
-    S = next(S for S in sorted(enumerate_admissible(h, 5))
-             if S and (S.j() == h.h(S.m())) == same_window)
-    listed = []
-    listing = kernels.matching_perms_sorted_suffix
+def test_count_routes_list_nothing(monkeypatch):
+    # every count route is an order-ideal pass: with both listing kernels
+    # refusing, each gives what it gave before, on every corpus set, j <= 6
+    routes = (fiber_expansion, b_expansion, a_expansion, b_from_heights,
+              degree_of, is_constant)
+    sets = [(h, S) for h in CORPUS_H for S in enumerate_admissible(h, 6) if S]
+    want = [[route(h, S) for route in routes] for h, S in sets]
 
-    def counted(*args):
-        listed.append(args)
-        return listing(*args)
+    def refuse(*args):
+        raise AssertionError(f"a count route listed S_{args[0]}")
 
-    monkeypatch.setattr(kernels, "matching_perms_sorted_suffix", counted)
-    enumeration._listing.cache_clear()
-    fib, b = fiber_expansion(h, S), b_expansion(h, S)
-    assert len(listed) == calls, S
-    assert [fib.poly(n) for n in range(12)] == [b.poly(n) for n in range(12)]
+    monkeypatch.setattr(kernels, "matching_perms_sorted_suffix", refuse)
+    monkeypatch.setattr(kernels, "matching_perms", refuse)
+    assert [[route(h, S) for route in routes] for h, S in sets] == want
+    assert not hasattr(enumeration, "_listing")
 
 
 def test_routes_build_no_permutation(monkeypatch):

@@ -26,6 +26,7 @@ from invpoly import (
 )
 from invpoly.cli import main, run_invariant_suite
 from invpoly.errors import BoundExceededError
+from invpoly.posets import ideal_pass
 
 H3 = HSequence((), 3)
 # the corpus and two h outside it
@@ -123,8 +124,22 @@ def test_mirror_duality_past_the_oracle(h):
         assert_mirror_dual(n, possible_pairs(h, n).pairs)
 
 
+# poincare counts S_n by h-inversions, and reverse-complement keeps them:
+# the same packed pass over the mirror pair list gives the same polynomial
+@pytest.mark.parametrize("h", EIGHT_H, ids=h_id)
+def test_poincare_of_the_mirror_window(h, monkeypatch):
+    monkeypatch.setenv("INVPOLY_MAX_N", "12")
+    for n in range(1, 13):
+        right = [0] * n
+        for i, j in possible_pairs(h, n):
+            right[n - j] |= 1 << (n - i)  # the mirror pair (n+1-j, n+1-i)
+        slots = ideal_pass([(1 << p, 0, r) for p, r in enumerate(right)], n)
+        want = enumeration.poincare(h, n)
+        assert QPoly(tuple(c for s in slots for c in (s, 0))) == want, n
+
+
 # the same seeds: every admissible set with j <= 6 of each h through the
-# three expansions, a_from_b, b_from_heights, b_q_dp and the graded classes
+# three expansions, a_from_b, b_q_dp and the graded classes
 @pytest.mark.parametrize("seed", range(20))
 def test_invariant_suite_on_random_h(seed):
     assert run_invariant_suite(random_h(random.Random(seed)), 6) == []
